@@ -68,9 +68,9 @@ let analyze ?calc ?extra_edges kp =
         let conj =
           List.fold_left
             (fun acc x -> Clocks.Bdd.and_ mgr acc (Clocks.Calculus.clock_of c x))
-            (Clocks.Calculus.context c) members
+            (Clocks.Bdd.one mgr) members
         in
-        not (Clocks.Bdd.is_zero conj)
+        not (Clocks.Bdd.disjoint mgr (Clocks.Calculus.context c) conj)
       with Not_found -> true)
   in
   let cycles =

@@ -204,6 +204,36 @@ let op_or = 1
 let op_xor = 2
 let op_exists = 3  (* key packs (operand, cube) instead of (a, b) *)
 
+(* 2-way set associative lookup in the apply cache: a paired slot
+   halves conflict evictions. Returns the cached node, or -1. *)
+let cache_find m key =
+  m.applies <- m.applies + 1;
+  let slot = cache_slot m key in
+  let slot =
+    if m.cache_key.(slot) = key then slot
+    else if m.cache_key.(slot lxor 1) = key then slot lxor 1
+    else -1
+  in
+  if slot < 0 then -1
+  else begin
+    m.apply_hits <- m.apply_hits + 1;
+    m.cache_val.(slot)
+  end
+
+(* callers store after recursing: the slot is re-derived here because
+   [mk] may have resized the cache in between *)
+let cache_store m key r =
+  let slot = cache_slot m key in
+  let slot = if m.cache_key.(slot) = 0 then slot else slot lxor 1 in
+  m.cache_key.(slot) <- key;
+  m.cache_val.(slot) <- r
+
+(* all binary ops are commutative: the key is order-normalized *)
+let apply_key op a b =
+  let ka = if a < b then a else b in
+  let kb = if a < b then b else a in
+  (((ka lsl 30) lor kb) lsl 2) lor op
+
 let rec apply m op a b =
   let terminal =
     if op = op_and then
@@ -230,33 +260,16 @@ let rec apply m op a b =
   in
   if terminal >= 0 then terminal
   else begin
-    (* all three ops are commutative: normalize the key *)
-    let ka = if a < b then a else b in
-    let kb = if a < b then b else a in
-    let key = (((ka lsl 30) lor kb) lsl 2) lor op in
-    m.applies <- m.applies + 1;
-    (* 2-way set associative: a paired slot halves conflict evictions *)
-    let slot = cache_slot m key in
-    let slot =
-      if m.cache_key.(slot) = key then slot
-      else if m.cache_key.(slot lxor 1) = key then slot lxor 1
-      else -1
-    in
-    if slot >= 0 then begin
-      m.apply_hits <- m.apply_hits + 1;
-      m.cache_val.(slot)
-    end
+    let key = apply_key op a b in
+    let r = cache_find m key in
+    if r >= 0 then r
     else begin
       let va = m.var_of.(a) and vb = m.var_of.(b) in
       let v = min va vb in
       let a0, a1 = if va = v then (m.low_of.(a), m.high_of.(a)) else (a, a) in
       let b0, b1 = if vb = v then (m.low_of.(b), m.high_of.(b)) else (b, b) in
       let r = mk m v (apply m op a0 b0) (apply m op a1 b1) in
-      (* re-derive the slot: the cache may have been resized by [mk] *)
-      let slot = cache_slot m key in
-      let slot = if m.cache_key.(slot) = 0 then slot else slot lxor 1 in
-      m.cache_key.(slot) <- key;
-      m.cache_val.(slot) <- r;
+      cache_store m key r;
       r
     end
   end
@@ -271,8 +284,57 @@ let equal (a : t) (b : t) = a = b
 let is_zero a = a = 0
 let is_one a = a = 1
 
-let implies m a b = is_zero (diff m a b)
-let exclusive m a b = is_zero (and_ m a b)
+(* Emptiness decisions walk cofactor pairs without calling [mk], and
+   stop at the first satisfiable path. A [false] answer ends the whole
+   search, so only [true] sub-results are ever worth remembering, and
+   each one is a genuine apply-cache fact: [a ∧ b = 0] is the [op_and]
+   entry [(a, b) ↦ 0], [a ⇒ b] is the [op_or] entry [(a, b) ↦ b]. Any
+   entry [apply] left behind answers a lookup the same way. *)
+
+(* [a ∧ b = 0]; a non-zero node is satisfiable, so [1] meets it *)
+let rec disjoint m a b =
+  if a = 0 || b = 0 then true
+  else if a = 1 || b = 1 || a = b then false
+  else if m.not_of.(a) = b then true
+  else begin
+    let key = apply_key op_and a b in
+    let r = cache_find m key in
+    if r >= 0 then r = 0
+    else begin
+      let va = m.var_of.(a) and vb = m.var_of.(b) in
+      let v = min va vb in
+      let a0, a1 = if va = v then (m.low_of.(a), m.high_of.(a)) else (a, a) in
+      let b0, b1 = if vb = v then (m.low_of.(b), m.high_of.(b)) else (b, b) in
+      if disjoint m a0 b0 && disjoint m a1 b1 then begin
+        cache_store m key 0;
+        true
+      end
+      else false
+    end
+  end
+
+(* [a ∧ ¬b = 0], i.e. [a ∨ b = b], without building [¬b] *)
+let rec implies m a b =
+  if a = 0 || b = 1 || a = b then true
+  else if a = 1 || b = 0 || m.not_of.(a) = b then false
+  else begin
+    let key = apply_key op_or a b in
+    let r = cache_find m key in
+    if r >= 0 then r = b
+    else begin
+      let va = m.var_of.(a) and vb = m.var_of.(b) in
+      let v = min va vb in
+      let a0, a1 = if va = v then (m.low_of.(a), m.high_of.(a)) else (a, a) in
+      let b0, b1 = if vb = v then (m.low_of.(b), m.high_of.(b)) else (b, b) in
+      if implies m a0 b0 && implies m a1 b1 then begin
+        cache_store m key b;
+        true
+      end
+      else false
+    end
+  end
+
+let exclusive = disjoint
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic-reachability primitives: quantification, relational
@@ -299,17 +361,8 @@ let rec exists m ~cube:c a =
     if c = 1 then a
     else begin
       let key = (((a lsl 30) lor c) lsl 2) lor op_exists in
-      m.applies <- m.applies + 1;
-      let slot = cache_slot m key in
-      let slot =
-        if m.cache_key.(slot) = key then slot
-        else if m.cache_key.(slot lxor 1) = key then slot lxor 1
-        else -1
-      in
-      if slot >= 0 then begin
-        m.apply_hits <- m.apply_hits + 1;
-        m.cache_val.(slot)
-      end
+      let r = cache_find m key in
+      if r >= 0 then r
       else begin
         let a0 = m.low_of.(a) and a1 = m.high_of.(a) in
         let r =
@@ -318,10 +371,7 @@ let rec exists m ~cube:c a =
             or_ m (exists m ~cube:c' a0) (exists m ~cube:c' a1)
           else mk m va (exists m ~cube:c a0) (exists m ~cube:c a1)
         in
-        let slot = cache_slot m key in
-        let slot = if m.cache_key.(slot) = 0 then slot else slot lxor 1 in
-        m.cache_key.(slot) <- key;
-        m.cache_val.(slot) <- r;
+        cache_store m key r;
         r
       end
     end

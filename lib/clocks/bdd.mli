@@ -37,11 +37,19 @@ val equal : t -> t -> bool
 val is_zero : t -> bool
 val is_one : t -> bool
 
+val disjoint : manager -> t -> t -> bool
+(** [disjoint m a b] iff [a ∧ b] is unsatisfiable, decided without
+    building the conjunction: the walk over cofactor pairs allocates no
+    node and stops at the first satisfiable path. It only reads and
+    writes the apply cache, where a proved [true] is stored as the
+    [and_] result [0]. *)
+
 val implies : manager -> t -> t -> bool
-(** [implies m a b] iff [a ∧ ¬b] is unsatisfiable. *)
+(** [implies m a b] iff [a ∧ ¬b] is unsatisfiable. Allocation-free like
+    {!disjoint}; neither [¬b] nor the difference is built. *)
 
 val exclusive : manager -> t -> t -> bool
-(** [exclusive m a b] iff [a ∧ b] is unsatisfiable. *)
+(** [exclusive m a b] is [disjoint m a b]. *)
 
 val cube : manager -> int list -> t
 (** The conjunction of positive literals over the given variables; the

@@ -589,34 +589,33 @@ let representative st x =
   let c = class_of_exn st x in
   st.names.(st.reprs.(c))
 
-(* Post-analysis queries below conjoin BDDs, which mutates the shared
-   manager's unique table and caches — and one memoized [t] is handed
-   to every caller, concurrent pipeline sessions included. [qmu]
-   serializes those mutations; pure array reads (class ids, clocks,
-   representatives) stay lock-free. *)
+(* Post-analysis queries decide emptiness against Φ with
+   [Bdd.disjoint], which never builds the conjunction with Φ but still
+   writes the shared manager's apply cache; [subclock] and [exclusive]
+   also build the difference or conjunction of the two clocks. One
+   memoized [t] is handed to every caller, concurrent pipeline sessions
+   included, so [qmu] serializes that manager work; pure array reads
+   (class ids, clocks, representatives) stay lock-free. *)
 let with_query_lock st f = Mutex.protect st.qmu f
 
 let is_null st x =
-  with_query_lock st @@ fun () ->
-  Bdd.is_zero (Bdd.and_ st.mgr st.phi (clock_of st x))
+  with_query_lock st @@ fun () -> Bdd.disjoint st.mgr st.phi (clock_of st x)
 
 let subclock st a b =
   with_query_lock st @@ fun () ->
-  Bdd.is_zero
-    (Bdd.and_ st.mgr st.phi (Bdd.diff st.mgr (clock_of st a) (clock_of st b)))
+  Bdd.disjoint st.mgr st.phi (Bdd.diff st.mgr (clock_of st a) (clock_of st b))
 
 let exclusive st a b =
   with_query_lock st @@ fun () ->
-  Bdd.is_zero
-    (Bdd.and_ st.mgr st.phi (Bdd.and_ st.mgr (clock_of st a) (clock_of st b)))
+  Bdd.disjoint st.mgr st.phi (Bdd.and_ st.mgr (clock_of st a) (clock_of st b))
 
 let null_signals st =
   (* Nullness is a property of the synchronization class: test each
      class once against Φ instead of each signal (typically 3-4×
-     fewer BDD conjunctions). *)
+     fewer emptiness decisions). *)
   let null_class =
     with_query_lock st @@ fun () ->
-    Array.map (fun c -> Bdd.is_zero (Bdd.and_ st.mgr st.phi c)) st.clocks
+    Array.map (Bdd.disjoint st.mgr st.phi) st.clocks
   in
   let n = K.st_count st.tab in
   let acc = ref [] in

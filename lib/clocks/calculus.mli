@@ -22,11 +22,12 @@ val analyze : Signal_lang.Kernel.kprocess -> t
     structurally equal processes share one analysis (and one BDD
     manager), so repeated pipeline runs pay for the clock calculus
     once. The memo table itself is safe to consult from several
-    domains, and so is the returned [t]: queries that conjoin BDDs
-    ({!is_null}, {!subclock}, {!exclusive}, {!null_signals},
-    {!pp_clock}) serialize on a per-state mutex, since BDD application
-    mutates the shared manager's unique table and caches. Pure array
-    reads (class ids, clocks, representatives) stay lock-free. *)
+    domains, and so is the returned [t]: queries that touch the BDD
+    manager ({!is_null}, {!subclock}, {!exclusive}, {!null_signals},
+    {!pp_clock}) serialize on a per-state mutex, since even the
+    emptiness decisions, which never conjoin Φ, write the shared
+    manager's apply cache. Pure array reads (class ids, clocks,
+    representatives) stay lock-free. *)
 
 val reset_cache : unit -> unit
 (** Drop the analysis memo table (cold-start benchmarking; safe to

@@ -22,7 +22,6 @@ let build calc =
          Putil.Tracing.Aint (List.length (Calculus.class_reprs calc))) ]
   @@ fun () ->
   let mgr = Calculus.manager calc in
-  let phi = Calculus.context calc in
   let reprs = Calculus.class_reprs calc in
   let n = List.length reprs in
   let clock = Array.make (max n 1) (Bdd.one mgr) in
@@ -38,15 +37,13 @@ let build calc =
      (emptiness, exclusion) in {!Calculus} but conjoining it into the
      n² comparisons is both needless for the tree shape and
      exponentially more expensive. *)
-  ignore phi;
-  (* BDD application mutates the shared manager; serialize against
-     concurrent queries on the same analysis. *)
+  (* [Bdd.implies] builds no node but writes the shared manager's
+     apply cache; serialize against concurrent queries on the same
+     analysis. *)
   let le_matrix =
     Calculus.with_query_lock calc @@ fun () ->
-    let not_clock = Array.map (fun c -> Bdd.not_ mgr c) clock in
     Array.init n (fun a ->
-        Array.init n (fun b ->
-            Bdd.is_zero (Bdd.and_ mgr clock.(a) not_clock.(b))))
+        Array.init n (fun b -> Bdd.implies mgr clock.(a) clock.(b)))
   in
   let le a b = le_matrix.(a).(b) in
   let strictly_below a b = le a b && not (le b a) in

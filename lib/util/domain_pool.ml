@@ -99,12 +99,16 @@ let run_one p f =
    | exception e ->
      record_exn p e (Printexc.get_raw_backtrace ());
      cancel p);
+  (* decrement and publish under one lock: otherwise a worker that
+     decremented earlier can publish its stale depth after the last
+     task published 0, and the gauge outlives the drained batch. The
+     caller waits for [pending = 0] under the same lock, so every
+     publication has happened once [run_tasks] returns. *)
+  Mutex.protect p.lock @@ fun () ->
   let left = Atomic.fetch_and_add p.pending (-1) - 1 in
-  Metrics.set m_queue_depth (max 0 left);
-  if left = 0 then begin
-    (* last task of the batch: wake the caller *)
-    Mutex.protect p.lock @@ fun () -> Condition.broadcast p.batch_done
-  end
+  Metrics.set m_queue_depth left;
+  (* last task of the batch: wake the caller *)
+  if left = 0 then Condition.broadcast p.batch_done
 
 (* grab work for lane [me]: own deque first, then steal round-robin *)
 let find_task p me =

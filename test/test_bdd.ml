@@ -98,6 +98,36 @@ let prop_involution =
       let b = to_bdd m e in
       Bdd.equal b (Bdd.not_ m (Bdd.not_ m b)))
 
+(* the emptiness deciders against their materializing definitions.
+   The reference runs on its own manager: a wrong [true] is stored in
+   the apply cache, and a reference conjunction on the same manager
+   would read it back and agree. Each pair is decided by the walk, then
+   again from the deciders' own cache entries, then from the entries
+   [and_] and [or_] leave behind. *)
+let prop_deciders =
+  QCheck2.Test.make ~name:"disjoint/implies/exclusive = materialized"
+    ~count:300
+    QCheck2.Gen.(pair (gen_bexp nvars) (gen_bexp nvars))
+    (fun (e1, e2) ->
+      let r = mgr () in
+      let ra = to_bdd r e1 and rb = to_bdd r e2 in
+      let empty_and = Bdd.is_zero (Bdd.and_ r ra rb) in
+      let reference =
+        (empty_and, Bdd.is_zero (Bdd.diff r ra rb),
+         Bdd.is_zero (Bdd.diff r rb ra), empty_and)
+      in
+      let m = mgr () in
+      let a = to_bdd m e1 and b = to_bdd m e2 in
+      let decide () =
+        (Bdd.disjoint m a b, Bdd.implies m a b, Bdd.implies m b a,
+         Bdd.exclusive m a b)
+      in
+      decide () = reference
+      && decide () = reference
+      && (ignore (Bdd.and_ m a b);
+          ignore (Bdd.or_ m a b);
+          decide () = reference))
+
 let test_terminals () =
   let m = mgr () in
   Alcotest.(check bool) "zero" true (Bdd.is_zero (Bdd.zero m));
@@ -118,6 +148,45 @@ let test_implies_exclusive () =
   Alcotest.(check bool) "x excl not-x" true
     (Bdd.exclusive m x (Bdd.not_ m x));
   Alcotest.(check bool) "x not excl y" false (Bdd.exclusive m x y)
+
+(* "allocation-free" as a count: the deciders never add a node, even
+   for operands whose negation was never built *)
+let test_deciders_allocate_nothing () =
+  let build m =
+    let x i = Bdd.var m i in
+    [| Bdd.and_ m (x 0) (x 1);
+       Bdd.or_ m (x 0) (x 2);
+       Bdd.xor_ m (x 1) (x 3);
+       Bdd.and_ m (Bdd.or_ m (x 0) (x 3)) (Bdd.xor_ m (x 2) (x 4));
+       Bdd.or_ m (Bdd.and_ m (x 1) (x 2)) (Bdd.and_ m (x 3) (x 4));
+       x 4; Bdd.zero m; Bdd.one m |]
+  in
+  let m = mgr () in
+  let fs = build m in
+  let before = Bdd.node_count m in
+  let answers =
+    Array.map
+      (fun a ->
+        Array.map
+          (fun b ->
+            (Bdd.disjoint m a b, Bdd.implies m a b, Bdd.exclusive m a b))
+          fs)
+      fs
+  in
+  Alcotest.(check int) "no node allocated" before (Bdd.node_count m);
+  (* references on an independent manager, see [prop_deciders] *)
+  let r = mgr () in
+  let rs = build r in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          let d, le, ex = answers.(i).(j) in
+          Alcotest.(check bool) "disjoint" (Bdd.is_zero (Bdd.and_ r a b)) d;
+          Alcotest.(check bool) "implies" (Bdd.is_zero (Bdd.diff r a b)) le;
+          Alcotest.(check bool) "exclusive" d ex)
+        rs)
+    rs
 
 let test_support () =
   let m = mgr () in
@@ -242,12 +311,15 @@ let test_id () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_semantics; prop_canonical; prop_de_morgan; prop_involution ]
+    [ prop_semantics; prop_canonical; prop_de_morgan; prop_involution;
+      prop_deciders ]
 
 let suite =
   [ ("bdd",
      [ Alcotest.test_case "terminals" `Quick test_terminals;
        Alcotest.test_case "implies/exclusive" `Quick test_implies_exclusive;
+       Alcotest.test_case "deciders allocate no node" `Quick
+         test_deciders_allocate_nothing;
        Alcotest.test_case "support" `Quick test_support;
        Alcotest.test_case "apply cache replays as hits" `Quick
          test_apply_cache_growth;

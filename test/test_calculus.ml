@@ -191,6 +191,106 @@ let test_pp_summary_runs () =
   Alcotest.(check bool) "summary mentions classes" true
     (String.length s > 0)
 
+(* ---- emptiness decisions against the materialized conjunction ---- *)
+
+module Bdd = Clocks.Bdd
+module K = Signal_lang.Kernel
+
+(* every yes/no emptiness answer the calculus gives over [xs] *)
+let decisions c xs =
+  ( C.null_signals c,
+    List.map (C.is_null c) xs,
+    List.concat_map
+      (fun a -> List.map (fun b -> (C.subclock c a b, C.exclusive c a b)) xs)
+      xs )
+
+(* the same answers from the conjunctions with Φ the calculus no
+   longer builds *)
+let materialized c kp xs =
+  C.with_query_lock c @@ fun () ->
+  let m = C.manager c and phi = C.context c in
+  let empty f = Bdd.is_zero (Bdd.and_ m phi f) in
+  let null x = empty (C.clock_of c x) in
+  ( List.filter null (List.map (fun vd -> vd.Ast.var_name) (K.signals kp)),
+    List.map null xs,
+    List.concat_map
+      (fun a ->
+        let ca = C.clock_of c a in
+        List.map
+          (fun b ->
+            let cb = C.clock_of c b in
+            (empty (Bdd.diff m ca cb), empty (Bdd.and_ m ca cb)))
+          xs)
+      xs )
+
+(* A renamed copy of a kernel misses the analysis memo, so it gets its
+   own analysis and BDD manager. The reference runs on such a copy: a
+   wrong "empty" would sit in the apply cache, and a conjunction on the
+   same manager would read it back and agree. *)
+let renamed kp suffix = { kp with K.kname = kp.K.kname ^ suffix }
+
+let check_against_materialized kp xs =
+  let nulls, null, rel =
+    materialized (C.analyze (renamed kp "_reference")) kp xs
+  in
+  let w_nulls, w_null, w_rel = decisions (C.analyze kp) xs in
+  Alcotest.(check (list string)) "null_signals" nulls w_nulls;
+  Alcotest.(check (list bool)) "is_null" null w_null;
+  Alcotest.(check (list (pair bool bool))) "subclock, exclusive" rel w_rel
+
+(* the whole case-study kernel *)
+let test_case_study_materialized () =
+  let a =
+    match
+      Polychrony.Pipeline.analyze
+        ~registry:Polychrony.Case_study.registry_nominal
+        Polychrony.Case_study.aadl_source
+    with
+    | Ok a -> a
+    | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+  in
+  let kp = renamed a.Polychrony.Pipeline.kernel "_decisions" in
+  let c = C.analyze kp in
+  let before = Bdd.node_count (C.manager c) in
+  let nulls = C.null_signals c in
+  Alcotest.(check int) "null_signals allocates no node" before
+    (Bdd.node_count (C.manager c));
+  Alcotest.(check bool) "some signal is null" true (nulls <> []);
+  (* pairwise queries over every 8th class representative *)
+  let xs =
+    List.filter_map
+      (fun (cid, r) -> if cid mod 8 = 0 then Some r else None)
+      (C.class_reprs c)
+  in
+  check_against_materialized kp xs
+
+(* random well-clocked kernels, with random inclusion and exclusion
+   constraints so that Φ is not trivially true *)
+let prop_random_materialized =
+  QCheck2.Test.make ~name:"calculus decisions = materialized on random kernels"
+    ~count:150
+    QCheck2.Gen.(
+      pair Test_compile.gen_program
+        (list_size (int_range 0 4) (triple bool nat nat)))
+    (fun (p, cs) ->
+      match N.process p with
+      | Error _ -> true (* ill-typed generation is skipped *)
+      | Ok kp ->
+        let names =
+          Array.of_list (List.map (fun vd -> vd.Ast.var_name) (K.signals kp))
+        in
+        let n = Array.length names in
+        let extra =
+          List.map
+            (fun (le, i, j) ->
+              let a = names.(i mod n) and b = names.(j mod n) in
+              if le then K.Cle (a, b) else K.Cex (a, b))
+            cs
+        in
+        let kp = { kp with K.kconstraints = kp.K.kconstraints @ extra } in
+        check_against_materialized kp (Array.to_list names);
+        true)
+
 let suite =
   [ ("calculus",
      [ Alcotest.test_case "sync classes" `Quick test_sync_classes;
@@ -209,4 +309,7 @@ let suite =
        Alcotest.test_case "fm clock structure" `Quick test_fm_clock_structure;
        Alcotest.test_case "stable representative" `Quick
          test_representative_stable;
-       Alcotest.test_case "summary printer" `Quick test_pp_summary_runs ]) ]
+       Alcotest.test_case "summary printer" `Quick test_pp_summary_runs;
+       Alcotest.test_case "case-study decisions = materialized" `Quick
+         test_case_study_materialized;
+       QCheck_alcotest.to_alcotest prop_random_materialized ]) ]

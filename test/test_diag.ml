@@ -7,12 +7,6 @@ module P = Polychrony.Pipeline
 module D = Putil.Diag
 module J = Putil.Metrics.Json
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let corpus_names =
   [ "bad_syntax"; "duplicate_port"; "unresolved_classifier";
     "type_conflict"; "infeasible_schedule"; "multi_defect" ]
@@ -21,7 +15,7 @@ let corpus_names =
    diagnostics accumulate whether or not an analyzed record could be
    built. *)
 let diags_of name =
-  let src = read_file (Filename.concat "corpus" (name ^ ".aadl")) in
+  let src = Test_data.read (Filename.concat "corpus" (name ^ ".aadl")) in
   match P.analyze ~registry:Trans.Behavior.empty ~file:(name ^ ".aadl") src with
   | Ok a -> (src, a.P.diags)
   | Error ds -> (src, ds)
@@ -30,10 +24,11 @@ let diags_of name =
 
 let test_golden name () =
   let src, diags = diags_of name in
-  let txt = read_file (Filename.concat "corpus/golden" (name ^ ".txt")) in
+  let txt = Test_data.read (Filename.concat "corpus/golden" (name ^ ".txt")) in
   Alcotest.(check string) (name ^ ".txt") txt (D.render_list ~src diags);
   let json =
-    String.trim (read_file (Filename.concat "corpus/golden" (name ^ ".json")))
+    String.trim
+      (Test_data.read (Filename.concat "corpus/golden" (name ^ ".json")))
   in
   Alcotest.(check string) (name ^ ".json") json
     (J.to_string (D.list_to_json diags))

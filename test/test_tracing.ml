@@ -10,12 +10,6 @@ module P = Polychrony.Pipeline
 module S = Sched.Static_sched
 module Task = Sched.Task
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Run [f] with a fresh, enabled trace; always disable afterwards so a
    failing test cannot leak tracing into the rest of the suite. *)
 let with_fresh_trace f =
@@ -260,7 +254,7 @@ let test_golden_case_study () =
     T.set_enabled false;
     canonical ()
   in
-  let want = read_file "corpus/golden/trace_producer_consumer.txt" in
+  let want = Test_data.read "corpus/golden/trace_producer_consumer.txt" in
   Alcotest.(check string) "canonical trace" want got
 
 (* ---------------- qcheck: random span trees ------------------------ *)
