@@ -5,8 +5,6 @@ module Stdproc = Signal_lang.Stdproc
 module Metrics = Putil.Metrics
 
 let m_analyses = Metrics.counter "calculus.analyses"
-let m_cache_hits = Metrics.counter "pipeline.cache_hits"
-let m_cache_misses = Metrics.counter "pipeline.cache_misses"
 let m_uf_finds = Metrics.counter "calculus.uf_finds"
 let m_uf_unions = Metrics.counter "calculus.uf_unions"
 let m_constraints = Metrics.counter "calculus.constraints"
@@ -504,38 +502,28 @@ let analyze_impl (kp : K.kprocess) =
 (* Analyses are memoized on the kernel's structural digest: the state
    is only mutated during [analyze_impl], so handing the same [t] to
    every caller is sound (later query functions touch only the BDD
-   manager's caches, not the analysis result). The mutex makes the
-   memo safe to consult from the explorer's worker domains; holding it
-   across a cold analysis also means concurrent callers never analyze
-   one kernel twice. Queries on a shared [t] remain single-domain
+   manager's caches, not the analysis result). The memo holds its lock
+   across a cold analysis, so concurrent callers never analyze one
+   kernel twice. Queries on a shared [t] remain single-domain
    territory — see the interface notes. *)
-let analyze_cache : (string, t) Hashtbl.t = Hashtbl.create 64
-let analyze_lock = Mutex.create ()
-let analyze_cache_cap = 256
+let memo : t Putil.Memo.t =
+  Putil.Memo.create ~stage:"pipeline" Putil.Memo.Cache ~cap:256 ~store:None
 
 let analyze kp =
   let dg = K.digest kp in
-  Mutex.protect analyze_lock @@ fun () ->
-  match Hashtbl.find_opt analyze_cache dg with
-  | Some st -> Metrics.incr m_cache_hits; st
-  | None ->
-    Metrics.incr m_cache_misses;
-    Metrics.incr m_analyses;
-    let st =
-      Putil.Tracing.with_span "clocks.calculus"
-        ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
-      @@ fun () ->
-      Metrics.time m_analyze_ns (fun () -> analyze_impl kp)
-    in
-    Metrics.set m_signals (K.st_count st.tab);
-    Metrics.set m_classes (Array.length st.reprs);
-    if Hashtbl.length analyze_cache >= analyze_cache_cap then
-      Hashtbl.reset analyze_cache;
-    Hashtbl.add analyze_cache dg st;
-    st
+  Putil.Memo.get memo ~name:dg ~key:dg @@ fun () ->
+  Metrics.incr m_analyses;
+  let st =
+    Putil.Tracing.with_span "clocks.calculus"
+      ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
+    @@ fun () ->
+    Metrics.time m_analyze_ns (fun () -> analyze_impl kp)
+  in
+  Metrics.set m_signals (K.st_count st.tab);
+  Metrics.set m_classes (Array.length st.reprs);
+  st
 
-let reset_cache () =
-  Mutex.protect analyze_lock @@ fun () -> Hashtbl.reset analyze_cache
+let reset_cache () = Putil.Memo.clear memo
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)

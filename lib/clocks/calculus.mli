@@ -21,8 +21,9 @@ val analyze : Signal_lang.Kernel.kprocess -> t
 (** Analyze a kernel process. Memoized on {!Signal_lang.Kernel.digest}:
     structurally equal processes share one analysis (and one BDD
     manager), so repeated pipeline runs pay for the clock calculus
-    once. The memo table itself is safe to consult from several
-    domains, and so is the returned [t]: queries that touch the BDD
+    once. The memo is a process-global {!Putil.Memo} of 256 entries,
+    cleared when full. It is safe to consult from several domains,
+    and so is the returned [t]: queries that touch the BDD
     manager ({!is_null}, {!subclock}, {!exclusive}, {!null_signals},
     {!pp_clock}) serialize on a per-state mutex, since even the
     emptiness decisions, which never conjoin Φ, write the shared

@@ -70,19 +70,15 @@ type analyzed = {
    everything downstream. The [incr.<stage>.ran] / [.skipped] metrics
    count the traffic.
 
-   Caches are single-slot (latest run wins): the session serves the
-   edit-recheck loop, not a multi-model build system. The behaviour
-   [registry] is assumed stable across one session (closures cannot be
-   digested). *)
+   Every stage and every per-process unit is a {!Putil.Memo} entry
+   under its name (latest run wins): the session serves the
+   edit-recheck loop, not a multi-model build system. The whole-stage
+   memos short-circuit the unchanged-program case in one digest
+   comparison, so per-process traffic only happens when the generated
+   program actually changed. The behaviour [registry] is assumed
+   stable across one session (closures cannot be digested). *)
 
-type 'v slot = (string * 'v) option ref
-
-(* Per-process units live in name-keyed tables: one entry per process
-   (resp. model), replaced when that process's key changes. The
-   whole-stage slots above them short-circuit the unchanged-program
-   case in one digest comparison, so per-process traffic only happens
-   when the generated program actually changed. *)
-type 'v proc_tbl = (string, string * 'v) Hashtbl.t
+module Memo = Putil.Memo
 
 type typechecked =
   Signal_lang.Typecheck.error list
@@ -105,24 +101,53 @@ type analyses = {
   a_diags : Putil.Diag.t list;
 }
 
-type session = {
-  s_label : string; (* observation-scope label: one scope per session *)
-  s_store : Putil.Cache_store.t option;
-  s_parse : Aadl.Syntax.package list slot;
-  s_instance : Aadl.Instance.t slot;
-  s_translate : (Trans.System_trans.output * Putil.Diag.t list) slot;
-  s_typecheck :
+type memos = {
+  parse : Aadl.Syntax.package list Memo.t;
+  instance : Aadl.Instance.t Memo.t;
+  translate : (Trans.System_trans.output * Putil.Diag.t list) Memo.t;
+  typecheck :
     (Signal_lang.Typecheck.error list
     * Signal_lang.Ast.typed Signal_lang.Ast.gprogram)
-      slot;
-  s_tc_procs : typechecked proc_tbl;
-  s_normalize : normalized slot;
-  s_kernels : K.kprocess option proc_tbl;
+      Memo.t;
+  tc_procs : typechecked Memo.t;
+  normalize : normalized Memo.t;
+  kernels : K.kprocess option Memo.t;
       (* [None] records a model normalization failure: the linker falls
          back to inlining that model, reproducing the original error *)
-  s_analyses : analyses slot;
-  s_panas : proc_analysis proc_tbl;
-  s_glue : glue_analysis proc_tbl;  (* single "glue" entry *)
+  analyses : analyses Memo.t;
+  panas : proc_analysis Memo.t;
+  glue : glue_analysis Memo.t;
+}
+
+(* The store tags are part of the on-disk format: existing [.pcache]
+   directories keep hitting only while they stay byte-identical.
+   Instantiate and translate have no tag: their values carry interned
+   UIDs, dense ids into this process's interner that would resolve
+   against an unrelated interner when replayed by a fresh process. *)
+let memos store =
+  let tagged tag = Option.map (fun s -> (s, tag)) store in
+  (* name-keyed, so at most one entry per stage or process *)
+  let memo stage level store = Memo.create ~stage level ~cap:max_int ~store in
+  let whole name units =
+    memo name (Memo.Stage units) (tagged ("stage." ^ name))
+  in
+  { parse = whole "parse" None;
+    instance = memo "instantiate" (Memo.Stage None) None;
+    translate = memo "translate" (Memo.Stage None) None;
+    typecheck =
+      whole "typecheck" (Some (fun (_, tp) -> List.length tp.Ast.processes));
+    tc_procs = memo "typecheck" Memo.Unit (tagged "typecheck.proc");
+    normalize = whole "normalize" (Some (fun n -> List.length n.n_models));
+    kernels = memo "normalize" Memo.Unit (tagged "normalize.proc");
+    analyses =
+      whole "analyses"
+        (Some (fun an -> List.length an.a_procs + 1 (* glue *)));
+    panas = memo "analyses" Memo.Unit (tagged "analysis.proc");
+    glue = memo "analyses" Memo.Unit (tagged "analysis.glue") }
+
+type session = {
+  s_label : string; (* observation-scope label: one scope per session *)
+  s_memos : memos;
 }
 
 let session_seq = Atomic.make 0
@@ -134,20 +159,13 @@ let new_session ?label ?store () =
     | None ->
       Printf.sprintf "session-%d" (1 + Atomic.fetch_and_add session_seq 1)
   in
-  { s_label = label;
-    s_store = store;
-    s_parse = ref None;
-    s_instance = ref None;
-    s_translate = ref None;
-    s_typecheck = ref None;
-    s_tc_procs = Hashtbl.create 16;
-    s_normalize = ref None;
-    s_kernels = Hashtbl.create 16;
-    s_analyses = ref None;
-    s_panas = Hashtbl.create 16;
-    s_glue = Hashtbl.create 1 }
+  { s_label = label; s_memos = memos store }
 
-let session_store session = Option.bind session (fun s -> s.s_store)
+(* without a session every stage runs: fresh memos hold nothing a
+   later run can see *)
+let memos_of session =
+  match session with Some s -> s.s_memos | None -> memos None
+
 let session_label s = s.s_label
 
 (* every stage of a session runs inside the session's observation
@@ -162,147 +180,6 @@ let in_analyzed_scope a f =
   match a.scope with
   | Some l -> Putil.Obs.with_scope ~label:l f
   | None -> f ()
-
-(* get-or-create per call: the registry lookup is one lock-free atomic
-   load, and concurrent sessions on several domains may reach this
-   simultaneously *)
-let m_stage stage outcome =
-  Putil.Metrics.counter ("incr." ^ stage ^ "." ^ outcome)
-
-(* [stage_r name slot key compute]: cached value on digest match,
-   fresh run otherwise; only successes are cached (failures are cheap
-   to rediscover and end the run anyway). A [None] slot (no session)
-   always runs. *)
-let stage_r name slot key compute =
-  match slot with
-  | Some r when (match !r with Some (k, _) -> String.equal k key | None -> false)
-    ->
-    Putil.Metrics.incr (m_stage name "skipped");
-    Ok (match !r with Some (_, v) -> v | None -> assert false)
-  | _ -> (
-    Putil.Metrics.incr (m_stage name "ran");
-    match compute () with
-    | Ok v ->
-      (match slot with Some r -> r := Some (key, v) | None -> ());
-      Ok v
-    | Error _ as e -> e)
-
-(* [stage_r] with persistent backing: slot first, store second,
-   compute last. Only for stages whose value is Uid-free pure data —
-   interned UIDs are dense ids into this process's interner, so a
-   value carrying them (e.g. the translation's traceability table)
-   would resolve against an unrelated interner when replayed by a
-   fresh process, and must never go through here. *)
-let stage_rp name slot store key compute =
-  let store_stage = "stage." ^ name in
-  match slot with
-  | Some r when (match !r with Some (k, _) -> String.equal k key | None -> false)
-    ->
-    Putil.Metrics.incr (m_stage name "skipped");
-    Ok (match !r with Some (_, v) -> v | None -> assert false)
-  | _ -> (
-    let record v =
-      match slot with Some r -> r := Some (key, v) | None -> ()
-    in
-    match
-      Option.bind store (fun s ->
-          Putil.Cache_store.get s ~stage:store_stage ~key)
-    with
-    | Some v ->
-      Putil.Metrics.incr (m_stage name "skipped");
-      record v;
-      Ok v
-    | None -> (
-      Putil.Metrics.incr (m_stage name "ran");
-      match compute () with
-      | Ok v ->
-        (match store with
-         | Some s -> Putil.Cache_store.put s ~stage:store_stage ~key v
-         | None -> ());
-        record v;
-        Ok v
-      | Error _ as e -> e))
-
-(* [stage_rp] for the per-process stages: a store replay of the whole
-   stage covers every unit the cold run computed, so it credits
-   [proc_skipped] with the unit count derived from the replayed value
-   — the per-unit accounting stays truthful ("this work was not
-   redone") even though the individual [proc_unit] lookups are
-   bypassed. The per-unit store entries written by the cold run remain
-   in place; the edited-program path misses here (the stage key covers
-   the whole program) and falls through to [proc_unit] as before. *)
-let stage_rpu name slot store key ~units compute =
-  let store_stage = "stage." ^ name in
-  match slot with
-  | Some r when (match !r with Some (k, _) -> String.equal k key | None -> false)
-    ->
-    Putil.Metrics.incr (m_stage name "skipped");
-    Ok (match !r with Some (_, v) -> v | None -> assert false)
-  | _ -> (
-    let record v =
-      match slot with Some r -> r := Some (key, v) | None -> ()
-    in
-    match
-      Option.bind store (fun s ->
-          Putil.Cache_store.get s ~stage:store_stage ~key)
-    with
-    | Some v ->
-      Putil.Metrics.incr (m_stage name "skipped");
-      Putil.Metrics.incr ~by:(units v) (m_stage name "proc_skipped");
-      record v;
-      Ok v
-    | None -> (
-      Putil.Metrics.incr (m_stage name "ran");
-      match compute () with
-      | Ok v ->
-        (match store with
-         | Some s -> Putil.Cache_store.put s ~stage:store_stage ~key v
-         | None -> ());
-        record v;
-        Ok v
-      | Error _ as e -> e))
-
-let stage_pu name slot store key ~units compute =
-  match stage_rpu name slot store key ~units (fun () -> Ok (compute ())) with
-  | Ok v -> v
-  | Error () -> assert false
-
-(* Per-process unit inside a stage: in-memory table first, persistent
-   store second, compute last. A store hit still counts as skipped —
-   the work was not redone. Only successes are recorded. *)
-let proc_unit stage_name tbl store store_stage pname key compute =
-  let hit v =
-    Putil.Metrics.incr (m_stage stage_name "proc_skipped");
-    v
-  in
-  match tbl with
-  | Some t
-    when (match Hashtbl.find_opt t pname with
-          | Some (k, _) -> String.equal k key
-          | None -> false) ->
-    hit
-      (match Hashtbl.find_opt t pname with
-       | Some (_, v) -> v
-       | None -> assert false)
-  | _ -> (
-    let record v =
-      (match tbl with
-       | Some t -> Hashtbl.replace t pname (key, v)
-       | None -> ());
-      v
-    in
-    match
-      Option.bind store (fun s ->
-          Putil.Cache_store.get s ~stage:store_stage ~key)
-    with
-    | Some v -> hit (record v)
-    | None ->
-      Putil.Metrics.incr (m_stage stage_name "proc_ran");
-      let v = compute () in
-      (match store with
-       | Some s -> Putil.Cache_store.put s ~stage:store_stage ~key v
-       | None -> ());
-      record v)
 
 (* Trust boundary: stage keys are Marshal digests of pure data. A
    closure smuggled into a key would marshal the code pointer — or
@@ -714,16 +591,14 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
   @@ fun () ->
   let diags = Putil.Diag.collector () in
   let fail () = Error (Putil.Diag.result diags) in
-  let slot f = Option.map f session in
-  let store = session_store session in
+  let m = memos_of session in
   let aadl_issues =
     List.concat_map Aadl.Check.check_package (pkg :: context)
   in
   Putil.Diag.add_list diags (Aadl.Check.to_diags ?file aadl_issues);
   match
-    stage_r "instantiate"
-      (slot (fun s -> s.s_instance))
-      (digest_of (file, root, pkg, context))
+    Memo.find m.instance ~name:"instantiate"
+      ~key:(digest_of (file, root, pkg, context))
       (fun () -> Aadl.Instance.instantiate_diag ?file ~context pkg ~root)
   with
   | Error ds ->
@@ -731,10 +606,10 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
     fail ()
   | Ok instance -> (
     match
-      stage_r "translate"
-        (slot (fun s -> s.s_translate))
-        (digest_of (instance, policy, mode, file)
-        ^ ":" ^ Trans.Behavior.id registry)
+      Memo.find m.translate ~name:"translate"
+        ~key:
+          (digest_of (instance, policy, mode, file)
+          ^ ":" ^ Trans.Behavior.id registry)
         (fun () ->
           match
             Trans.System_trans.translate_diag ?file ~registry ?policy
@@ -752,10 +627,7 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
       let program_key = Signal_lang.Ast.program_digest program in
       let top = translation.Trans.System_trans.top in
       let typecheck_errors, typed_program =
-        stage_pu "typecheck"
-          (slot (fun s -> s.s_typecheck))
-          store program_key
-          ~units:(fun (_, tp) -> List.length tp.Ast.processes)
+        Memo.get m.typecheck ~name:"typecheck" ~key:program_key
           (fun () ->
             (* keyed on (own body × interface environment): a body edit
                in one process reruns only that process's check *)
@@ -765,10 +637,9 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
             let per_proc =
               List.map
                 (fun p ->
-                  proc_unit "typecheck"
-                    (slot (fun s -> s.s_tc_procs))
-                    store "typecheck.proc" p.Ast.proc_name
-                    (Digest.to_hex (Ast.process_digest p) ^ ":" ^ iface_key)
+                  Memo.get m.tc_procs ~name:p.Ast.proc_name
+                    ~key:
+                      (Digest.to_hex (Ast.process_digest p) ^ ":" ^ iface_key)
                     (fun () ->
                       ( Signal_lang.Typecheck.check_process ~program p,
                         Signal_lang.Typecheck.type_process p )))
@@ -783,11 +654,8 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
            (diag_of_type_error ?file ~translation ~instance)
            typecheck_errors);
       match
-        stage_rpu "normalize"
-          (slot (fun s -> s.s_normalize))
-          store
-          (program_key ^ ":" ^ top.Ast.proc_name)
-          ~units:(fun n -> List.length n.n_models)
+        Memo.find m.normalize ~name:"normalize"
+          ~key:(program_key ^ ":" ^ top.Ast.proc_name)
           (fun () ->
             (* normalize each model once, keyed on its dependency
                closure, then link the cached kernels into the host *)
@@ -800,16 +668,14 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
             in
             let precomputed =
               List.filter_map
-                (fun m ->
+                (fun model ->
                   Option.map
-                    (fun k -> (m.Ast.proc_name, k))
-                    (proc_unit "normalize"
-                       (slot (fun s -> s.s_kernels))
-                       store "normalize.proc" m.Ast.proc_name
-                       (model_key program m)
+                    (fun k -> (model.Ast.proc_name, k))
+                    (Memo.get m.kernels ~name:model.Ast.proc_name
+                       ~key:(model_key program model)
                        (fun () ->
                          Result.to_option
-                           (Signal_lang.Normalize.process ~program m))))
+                           (Signal_lang.Normalize.process ~program model))))
                 models
             in
             Result.map
@@ -840,11 +706,8 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
           (List.length n.n_profile.Analysis.Profiling.per_signal);
         let stubbed = Putil.Diag.has_errors tdiags in
         let an =
-          stage_pu "analyses"
-            (slot (fun s -> s.s_analyses))
-            store
-            (n.n_kdigest ^ if stubbed then ":stub" else "")
-            ~units:(fun an -> List.length an.a_procs + 1 (* glue *))
+          Memo.get m.analyses ~name:"analyses"
+            ~key:(n.n_kdigest ^ if stubbed then ":stub" else "")
             (fun () ->
               let model_names =
                 List.sort_uniq compare
@@ -859,9 +722,7 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                     Option.map
                       (fun km ->
                         ( name,
-                          proc_unit "analyses"
-                            (slot (fun s -> s.s_panas))
-                            store "analysis.proc" name (K.digest km)
+                          Memo.get m.panas ~name ~key:(K.digest km)
                             (fun () -> proc_analysis_of km) ))
                       (List.assoc_opt name n.n_models))
                   model_names
@@ -870,10 +731,8 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                 glue_with_summaries n.n_glue n.n_links pas
               in
               let ga =
-                proc_unit "analyses"
-                  (slot (fun s -> s.s_glue))
-                  store "analysis.glue" "glue"
-                  (digest_of (K.digest glue', extra_edges))
+                Memo.get m.glue ~name:"glue"
+                  ~key:(digest_of (K.digest glue', extra_edges))
                   (fun () -> glue_analysis_of glue' extra_edges)
               in
               merge_analyses ~stubbed n.n_links pas ga)
@@ -896,11 +755,10 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
 let analyze ?session ?registry ?policy ?mode ?root ?file src =
   in_session_scope session @@ fun () ->
   let* pkgs =
-    stage_rp "parse"
-      (Option.map (fun s -> s.s_parse) session)
-      (session_store session)
-      (Digest.to_hex
-         (Digest.string (Option.value ~default:"" file ^ "\x00" ^ src)))
+    Memo.find (memos_of session).parse ~name:"parse"
+      ~key:
+        (Digest.to_hex
+           (Digest.string (Option.value ~default:"" file ^ "\x00" ^ src)))
       (fun () -> Aadl.Parser.parse_packages_diag ?file src)
   in
   let* pkg, root =

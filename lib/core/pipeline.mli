@@ -185,10 +185,11 @@ val simulate :
 
     Clock analysis and compilation are memoized on the kernel's
     structural digest (see {!Clocks.Calculus.analyze} and
-    {!Polysim.Compile.compile}), so repeated simulations of one system
-    pay the front-end once; the [pipeline.cache_hits] /
-    [pipeline.cache_misses] counters in the metrics registry record
-    the traffic. *)
+    {!Polysim.Compile.compile}) in process-global {!Putil.Memo}
+    caches of 256 entries each, shared by every session and cleared
+    when full, so repeated simulations of one system pay the front-end
+    once; the [pipeline.cache_hits] / [pipeline.cache_misses] counters
+    in the metrics registry record the traffic. *)
 
 val simulate_scenarios :
   ?envs:(int -> int -> (string * int) list) ->

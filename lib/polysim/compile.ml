@@ -10,7 +10,6 @@ module Clock = Putil.Clock
 let m_compilations = Metrics.counter "compile.compilations"
 let m_plan_builds = Metrics.counter "compile.plan_builds"
 let m_cache_hits = Metrics.counter "pipeline.cache_hits"
-let m_cache_misses = Metrics.counter "pipeline.cache_misses"
 let m_compile_ns = Metrics.timer "compile.compile_ns"
 let m_plan_ops = Metrics.gauge "compile.plan_ops"
 let m_bdd_nodes = Metrics.gauge "compile.bdd_nodes"
@@ -1024,33 +1023,25 @@ let record_plan_metrics pl =
   Metrics.set m_free_classes pl.p_n_free
 
 (* Plans are memoized on the kernel digest (compile errors too — they
-   are just as deterministic). The mutex makes the memo safe from the
-   explorer's worker domains and prevents two domains from building
-   one plan twice; cold builds are serialized, which is irrelevant
-   next to their cost being paid once. *)
-let plan_cache : (string, (plan, string) result) Hashtbl.t = Hashtbl.create 64
-let plan_lock = Mutex.create ()
-let plan_cache_cap = 256
+   are just as deterministic). The memo holds its lock across a build,
+   so two domains never build one plan twice; cold builds are
+   serialized, which is irrelevant next to their cost being paid
+   once. *)
+let plan_memo : (plan, string) result Putil.Memo.t =
+  Putil.Memo.create ~stage:"pipeline" Putil.Memo.Cache ~cap:256 ~store:None
 
 let plan_of_digest kp =
   let dg = K.digest kp in
-  Mutex.protect plan_lock @@ fun () ->
-  match Hashtbl.find_opt plan_cache dg with
-  | Some r -> Metrics.incr m_cache_hits; r
-  | None ->
-    Metrics.incr m_cache_misses;
-    Metrics.incr m_plan_builds;
-    let r =
-      Putil.Tracing.with_span "compile.plan"
-        ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
-      @@ fun () ->
-      Metrics.time m_compile_ns (fun () -> compile_impl kp)
-    in
-    (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
-    if Hashtbl.length plan_cache >= plan_cache_cap then
-      Hashtbl.reset plan_cache;
-    Hashtbl.add plan_cache dg r;
-    r
+  Putil.Memo.get plan_memo ~name:dg ~key:dg @@ fun () ->
+  Metrics.incr m_plan_builds;
+  let r =
+    Putil.Tracing.with_span "compile.plan"
+      ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
+    @@ fun () ->
+    Metrics.time m_compile_ns (fun () -> compile_impl kp)
+  in
+  (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
+  r
 
 (* Physical-equality fast path over the digest memo: re-instantiating
    the same in-memory kernel (the common case in batched and

@@ -378,14 +378,11 @@ let translate_uncached ~registry inst =
    id, see {!Behavior.make}), so its result is memoized per process:
    re-translating a system after editing one thread reruns exactly
    that thread's translation. Only successes are cached ([Trans_diag]
-   defects are cheap to rediscover and must not be masked). The table
-   is mutex-protected for Domain_pool safety. *)
-let m_proc_ran = Putil.Metrics.counter "incr.translate.proc_ran"
-let m_proc_skipped = Putil.Metrics.counter "incr.translate.proc_skipped"
-
-let memo : (string, Ast.process) Hashtbl.t = Hashtbl.create 64
-let memo_lock = Mutex.create ()
-let memo_cap = 512
+   defects are cheap to rediscover and must not be masked). The memo
+   holds its lock across the translation, so concurrent domains
+   translate each thread once. *)
+let memo : Ast.process Putil.Memo.t =
+  Putil.Memo.create ~stage:"translate" Putil.Memo.Unit ~cap:512 ~store:None
 
 let translate ~registry inst =
   Putil.Tracing.with_span "trans.thread"
@@ -396,16 +393,5 @@ let translate ~registry inst =
       (Behavior.id registry ^ "\x00"
       ^ Marshal.to_string inst [ Marshal.No_sharing ])
   in
-  match
-    Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key)
-  with
-  | Some p ->
-    Putil.Metrics.incr m_proc_skipped;
-    p
-  | None ->
-    Putil.Metrics.incr m_proc_ran;
-    let p = translate_uncached ~registry inst in
-    Mutex.protect memo_lock (fun () ->
-        if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-        Hashtbl.replace memo key p);
-    p
+  Putil.Memo.get memo ~name:key ~key (fun () ->
+      translate_uncached ~registry inst)

@@ -225,12 +225,12 @@ let test_lru_eviction () =
 (* Multi-domain safety                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Satellite audit: every digest-keyed cache the pipeline leans on —
-   the persistent store (per-handle mutex), the clock-calculus analyze
-   memo (analyze_lock, shared with reset_cache) and the compiled-plan
-   memo (plan_lock + atomic fast path) — must survive concurrent
-   hammering from Domain_pool workers, including cache resets racing
-   cold analyses. *)
+(* Every digest-keyed cache the pipeline leans on — the persistent
+   store (per-handle mutex), the clock-calculus analyze memo (a
+   Putil.Memo, whose lock Calculus.reset_cache also takes) and the
+   compiled-plan memo (a Putil.Memo behind an atomic fast path) — must
+   survive concurrent hammering from Domain_pool workers, including
+   cache resets racing cold analyses. *)
 let test_parallel_store_and_memos () =
   let kernel seed =
     N.process_exn
