@@ -447,10 +447,11 @@ let bench_simulate () =
              let tick = Option.get (Polysim.Compile.signal_index c "tick") in
              let go = Option.get (Polysim.Compile.signal_index c "env_pGo") in
              for t = 0 to 23 do
-               Polysim.Compile.stim_clear c;
-               Polysim.Compile.set_stim c tick Types.Vevent;
-               if t = 0 then Polysim.Compile.set_stim c go (Types.Vint 1);
-               match Polysim.Compile.step_prepared c with
+               match
+                 Polysim.Compile.run_batched c ~n:1 ~fill:(fun c _ ->
+                     Polysim.Compile.set_stim c tick Types.Vevent;
+                     if t = 0 then Polysim.Compile.set_stim c go (Types.Vint 1))
+               with
                | Ok () -> ()
                | Error m -> failwith m
              done))
@@ -662,31 +663,8 @@ let bench_ablations () =
       | Error m -> failwith m
     done
   in
-  (* kernel optimizer (ref [15] passes): size + simulation effect *)
-  let a2 = analyzed CS.registry_nominal in
-  let kp_raw = a2.P.kernel in
-  let kp_opt = Signal_lang.Optimize.optimize kp_raw in
-  Format.printf "  optimizer: %s -> %s@."
-    (Signal_lang.Optimize.stats kp_raw)
-    (Signal_lang.Optimize.stats kp_opt);
-  let drive_sys kp =
-    let eng = Polysim.Engine.create kp in
-    for t = 0 to 23 do
-      let stim =
-        ("tick", Types.Vevent)
-        :: (if t = 0 then [ ("env_pGo", Types.Vint 1) ] else [])
-      in
-      match Polysim.Engine.step eng ~stimulus:stim with
-      | Ok _ -> ()
-      | Error m -> failwith m
-    done
-  in
   run_benchs "ablations (DESIGN.md)"
-    [ Test.make ~name:"ablation/simulate-raw-kernel"
-        (Staged.stage (fun () -> drive_sys kp_raw));
-      Test.make ~name:"ablation/simulate-optimized-kernel"
-        (Staged.stage (fun () -> drive_sys kp_opt));
-      Test.make ~name:"ablation/hierarchy-structural" (Staged.stage structural);
+    [ Test.make ~name:"ablation/hierarchy-structural" (Staged.stage structural);
       Test.make ~name:"ablation/hierarchy-phi-strengthened"
         (Staged.stage strengthened);
       Test.make ~name:"ablation/sched-edf"
@@ -1289,19 +1267,14 @@ let traced trace_dir name f =
   match trace_dir with
   | None -> f ()
   | Some dir ->
-    Putil.Tracing.reset ();
-    Putil.Tracing.set_enabled true;
-    Fun.protect
-      ~finally:(fun () ->
-        Putil.Tracing.set_enabled false;
-        let path = Filename.concat dir ("TRACE_" ^ name ^ ".json") in
-        Putil.Tracing.write ~format:`Chrome path;
-        Format.printf "  trace written to %s@." path)
-      f
+    let path = Filename.concat dir ("TRACE_" ^ name ^ ".json") in
+    P.with_tracing ~trace_file:path f;
+    Format.printf "  trace written to %s@." path
 
 (* No argument: everything. [quick]: artifacts only. Any other
    argument selects one bench section by name (e.g. [simulate] for a
-   CI smoke run of just that timing section). *)
+   CI smoke run of just that timing section); an unknown name is a
+   usage error. *)
 let () =
   let missing flag =
     prerr_endline ("error: " ^ flag ^ " requires an argument");
@@ -1345,6 +1318,13 @@ let () =
       ("obs-overhead", bench_obs_overhead);
       ("ablations", bench_ablations) ]
   in
+  let sections = "quick" :: List.map fst benches in
+  if arg <> "" && not (List.mem arg sections) then begin
+    prerr_endline
+      (Printf.sprintf "error: unknown section %S (sections: %s)" arg
+         (String.concat ", " sections));
+    exit 2
+  end;
   (match List.assoc_opt arg benches with
    | Some bench -> traced trace_dir arg bench
    | None ->
@@ -1358,16 +1338,8 @@ let () =
      deadlock_section ();
      profiling_section ();
      latency_section ();
-     if arg <> "quick" then begin
-       if arg <> "" then
-         Format.printf
-           "unknown section %S; running everything (sections: quick%a)@." arg
-           (Format.pp_print_list
-              ~pp_sep:(fun _ () -> ())
-              (fun ppf (n, _) -> Format.fprintf ppf ", %s" n))
-           benches;
-       List.iter (fun (name, bench) -> traced trace_dir name bench) benches
-     end);
+     if arg <> "quick" then
+       List.iter (fun (name, bench) -> traced trace_dir name bench) benches);
   (match json with
    | Some path -> write_json ~section:arg path
    | None -> ());

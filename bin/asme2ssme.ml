@@ -324,8 +324,18 @@ let simulate_cmd =
            ~doc:"Use the clock-directed compiled step instead of the \
                  fixpoint interpreter.")
   in
+  (* K < 1 is a usage error rather than a silent single run *)
+  let positive_int =
+    let parse s =
+      match Arg.conv_parser Arg.int s with
+      | Ok k when k < 1 ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %d" k))
+      | r -> r
+    in
+    Arg.conv ~docv:"K" (parse, Arg.conv_printer Arg.int)
+  in
   let scenarios_arg =
-    Arg.(value & opt int 1 & info [ "scenarios" ] ~docv:"K"
+    Arg.(value & opt positive_int 1 & info [ "scenarios" ] ~docv:"K"
            ~doc:"Run K environment scenarios in lockstep over one \
                  compiled plan (scenario k delays each environment \
                  arrival by k base ticks). Prints the chronogram of \

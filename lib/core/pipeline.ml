@@ -894,18 +894,32 @@ let stimulus_at_fn a env =
         ctls
     @ List.map (fun (n, v) -> (n, Types.Vint v)) (env t)
 
-(* Resolve a name-based stimulus into a compiled instance's dense
-   buffer. Non-input names error through the normal result path of the
-   enclosing batched call; unknown names raise. *)
-exception Unknown_input of string
-
-let fill_stimulus c stim =
-  List.iter
-    (fun (x, v) ->
-      match Polysim.Compile.signal_index c x with
-      | Some i -> Polysim.Compile.set_stim c i v
-      | None -> raise (Unknown_input x))
-    stim
+(* The compiled driver of {!simulate} (K = 1) and {!simulate_scenarios}:
+   [horizon] instants of [scenarios] lockstep copies, scenario [s]
+   reading its named stimuli from [stimulus_of s]. An unknown stimulus
+   name fails through the stepping call like any step error, so both
+   entries report SIM-001 at the instant it happened. *)
+let run_compiled a ~horizon ~scenarios stimulus_of =
+  match Polysim.Compile.compile_scenarios a.kernel ~scenarios with
+  | Error m ->
+    Error [ Putil.Diag.errorf ~code:code_compile "compile: %s" m ]
+  | Ok c -> (
+    let stim_of = Array.init scenarios stimulus_of in
+    let fill c s t =
+      List.iter
+        (fun (x, v) -> Polysim.Compile.set_stim_named c x v)
+        (stim_of.(s) t)
+    in
+    let rec go t =
+      if t >= horizon then
+        Ok (Array.init scenarios (Polysim.Compile.trace_of c))
+      else
+        match Polysim.Compile.step_many c ~fill:(fun c s -> fill c s t) with
+        | Ok () -> go (t + 1)
+        | Error m ->
+          Error [ Putil.Diag.errorf ~code:code_sim "instant %d: %s" t m ]
+    in
+    go 0)
 
 let simulate ?(compiled = false) ?env ?(hyperperiods = 2) a =
   in_analyzed_scope a @@ fun () ->
@@ -940,25 +954,9 @@ let simulate ?(compiled = false) ?env ?(hyperperiods = 2) a =
     go 0
   in
   if compiled then
-    match Polysim.Compile.compile a.kernel with
-    | Error m ->
-      Error [ Putil.Diag.errorf ~code:code_compile "compile: %s" m ]
-    | Ok c -> (
-      (* dense batched stepping: the whole horizon in one call, no
-         per-instant assoc lists *)
-      match
-        Polysim.Compile.run_batched c ~n:horizon
-          ~fill:(fun c t -> fill_stimulus c (stimulus_at t))
-      with
-      | Ok () -> Ok (finish (Polysim.Compile.trace c))
-      | Error m ->
-        Error
-          [ Putil.Diag.errorf ~code:code_sim "instant %d: %s"
-              (Polysim.Compile.instant c) m ]
-      | exception Unknown_input x ->
-        Error
-          [ Putil.Diag.errorf ~code:code_sim
-              "stimulus for unknown signal %s" x ])
+    Result.map
+      (fun traces -> finish traces.(0))
+      (run_compiled a ~horizon ~scenarios:1 (fun _ -> stimulus_at))
   else
     let engine = Polysim.Engine.create a.kernel in
     run (fun ~stimulus -> Polysim.Engine.step engine ~stimulus)
@@ -986,31 +984,7 @@ let simulate_scenarios ?envs ?(hyperperiods = 2) ~scenarios a =
       [ ("scenarios", Putil.Tracing.Aint scenarios);
         ("horizon_ticks", Putil.Tracing.Aint horizon) ]
   @@ fun () ->
-  match Polysim.Compile.compile_scenarios a.kernel ~scenarios with
-  | Error m ->
-    Error [ Putil.Diag.errorf ~code:code_compile "compile: %s" m ]
-  | Ok c -> (
-    let stim_of =
-      Array.init scenarios (fun s -> stimulus_at_fn a (envs s))
-    in
-    let rec go t =
-      if t >= horizon then
-        Ok (Array.init scenarios (Polysim.Compile.trace_of c))
-      else
-        match
-          Polysim.Compile.step_many c
-            ~fill:(fun c s -> fill_stimulus c (stim_of.(s) t))
-        with
-        | Ok () -> go (t + 1)
-        | Error m ->
-          Error [ Putil.Diag.errorf ~code:code_sim "instant %d: %s" t m ]
-    in
-    match go 0 with
-    | r -> r
-    | exception Unknown_input x ->
-      Error
-        [ Putil.Diag.errorf ~code:code_sim "stimulus for unknown signal %s"
-            x ])
+  run_compiled a ~horizon ~scenarios (fun s -> stimulus_at_fn a (envs s))
 
 (* ------------------------------------------------------------------ *)
 (* Bounded verification                                                *)

@@ -1012,16 +1012,6 @@ let instantiate ?(scenarios = 1) pl =
   done;
   st
 
-let record_plan_metrics pl =
-  let mgr = Calc.manager pl.p_calc in
-  Metrics.set m_plan_ops (Array.length pl.p_plan);
-  Metrics.set m_bdd_nodes (Bdd.node_count mgr);
-  let calls, hits = Bdd.apply_stats mgr in
-  Metrics.set m_bdd_apply_calls calls;
-  Metrics.set m_bdd_apply_hit_pct
-    (if calls = 0 then 0 else 100 * hits / calls);
-  Metrics.set m_free_classes pl.p_n_free
-
 (* Plans are memoized on the kernel digest (compile errors too — they
    are just as deterministic). The memo holds its lock across a build,
    so two domains never build one plan twice; cold builds are
@@ -1030,9 +1020,9 @@ let record_plan_metrics pl =
 let plan_memo : (plan, string) result Putil.Memo.t =
   Putil.Memo.create ~stage:"pipeline" Putil.Memo.Cache ~cap:256 ~store:None
 
-let plan_of_digest kp =
-  let dg = K.digest kp in
-  Putil.Memo.get plan_memo ~name:dg ~key:dg @@ fun () ->
+(* every plan build, memoized or not: one [compile.plan] span, timed
+   into [compile_ns], with the plan gauges recorded on success *)
+let build_plan kp =
   Metrics.incr m_plan_builds;
   let r =
     Putil.Tracing.with_span "compile.plan"
@@ -1040,8 +1030,22 @@ let plan_of_digest kp =
     @@ fun () ->
     Metrics.time m_compile_ns (fun () -> compile_impl kp)
   in
-  (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
+  (match r with
+   | Ok pl ->
+     let mgr = Calc.manager pl.p_calc in
+     Metrics.set m_plan_ops (Array.length pl.p_plan);
+     Metrics.set m_bdd_nodes (Bdd.node_count mgr);
+     let calls, hits = Bdd.apply_stats mgr in
+     Metrics.set m_bdd_apply_calls calls;
+     Metrics.set m_bdd_apply_hit_pct
+       (if calls = 0 then 0 else 100 * hits / calls);
+     Metrics.set m_free_classes pl.p_n_free
+   | Error _ -> ());
   r
+
+let plan_of_digest kp =
+  let dg = K.digest kp in
+  Putil.Memo.get plan_memo ~name:dg ~key:dg @@ fun () -> build_plan kp
 
 (* Physical-equality fast path over the digest memo: re-instantiating
    the same in-memory kernel (the common case in batched and
@@ -1070,10 +1074,7 @@ let compile_scenarios kp ~scenarios =
 
 let compile_uncached kp =
   Metrics.incr m_compilations;
-  Metrics.incr m_plan_builds;
-  let r = Metrics.time m_compile_ns (fun () -> compile_impl kp) in
-  (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
-  Result.map (fun pl -> instantiate pl) r
+  Result.map (fun pl -> instantiate pl) (build_plan kp)
 
 let fork st = instantiate ~scenarios:st.nscen st.pl
 
@@ -1103,6 +1104,11 @@ let set_stim st i v =
   let j = st.base_sig + i in
   st.stim_p.(j) <- true;
   set_slot_value st j v
+
+let set_stim_named st x v =
+  match Prog.index_opt st.prog x with
+  | Some i -> set_stim st i v
+  | None -> errf "stimulus for unknown signal %s" x
 
 (* presence/value sanity pass; returns the present count *)
 let rec check_present st b i acc =
@@ -1159,24 +1165,14 @@ let exec_instant st =
   done;
   Metrics.incr m_instants
 
-let step_prepared st =
-  let t0 = Clock.now_ns () in
-  let r =
-    try
-      exec_instant st;
-      st.instants <- st.instants + 1;
-      Ok ()
-    with Comp_error m -> Error m
-  in
-  Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
-  r
-
 let rec present_assoc_from st b i =
   if i >= st.n then []
   else if st.pres.(st.base_cls + st.class_of.(i)) then
     (st.prog.Prog.names.(i), slot_value st (b + i))
     :: present_assoc_from st b (i + 1)
   else present_assoc_from st b (i + 1)
+
+let present_assoc st = present_assoc_from st st.base_sig 0
 
 let out_present st i = st.pres.(st.base_cls + st.class_of.(i))
 
@@ -1193,73 +1189,35 @@ let iter_present st f =
       f i (slot_value st (b + i))
   done
 
-let run_batched st ~n ~fill =
+(* The one stepping core: [n] lockstep instants of scenarios
+   [0 .. k-1]; [fill st t s] sets scenario [s]'s stimulus for relative
+   instant [t] into the freshly cleared buffer. A stimulus or step
+   error ends the call as [Error]; every exit leaves scenario 0
+   selected, so the dense accessors read scenario 0 after any call. *)
+let step_core st ~n ~k fill =
   let t0 = Clock.now_ns () in
   let r =
     try
-      select_scenario st 0;
-      for k = 0 to n - 1 do
-        stim_clear st;
-        fill st k;
-        exec_instant st;
+      for t = 0 to n - 1 do
+        for s = 0 to k - 1 do
+          select_scenario st s;
+          stim_clear st;
+          fill st t s;
+          exec_instant st
+        done;
         st.instants <- st.instants + 1
       done;
       Ok ()
     with Comp_error m -> Error m
   in
+  select_scenario st 0;
   Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
   r
+
+let run_batched st ~n ~fill = step_core st ~n ~k:1 (fun st t _ -> fill st t)
 
 let step_many st ~fill =
-  let t0 = Clock.now_ns () in
-  let r =
-    try
-      for s = 0 to st.nscen - 1 do
-        select_scenario st s;
-        stim_clear st;
-        fill st s;
-        exec_instant st
-      done;
-      select_scenario st 0;
-      st.instants <- st.instants + 1;
-      Ok ()
-    with Comp_error m -> Error m
-  in
-  Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
-  r
-
-let run kp ~stimuli =
-  match compile kp with
-  | Error m -> Error m
-  | Ok st ->
-    (* named stimulus → dense buffer, one instant *)
-    let step_named stim =
-      let t0 = Clock.now_ns () in
-      let r =
-        try
-          stim_clear st;
-          List.iter
-            (fun (x, v) ->
-              match Prog.index_opt st.prog x with
-              | Some i -> set_stim st i v
-              | None -> errf "stimulus for unknown signal %s" x)
-            stim;
-          exec_instant st;
-          st.instants <- st.instants + 1;
-          Ok ()
-        with Comp_error m -> Error m
-      in
-      Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
-      r
-    in
-    let rec go = function
-      | [] -> Ok st.traces.(0)
-      | stim :: rest -> (
-        match step_named stim with
-        | Ok () -> go rest
-        | Error m -> Error m)
-    in
-    go stimuli
+  step_core st ~n:1 ~k:st.nscen (fun st _ s -> fill st s)
 
 let trace st = st.traces.(0)
 let trace_of st s = st.traces.(s)
@@ -1406,7 +1364,6 @@ let state_key st kb =
 let plan_length st = Array.length st.plan
 let free_classes st = st.n_free
 
-let present_assoc st = present_assoc_from st st.base_sig 0
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic introspection: a read-only view of the compiled plan so    *)

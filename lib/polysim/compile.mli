@@ -17,10 +17,13 @@
       iteration, no retraction, no per-value boxing;
     + commits delay registers and FIFO ring buffers.
 
-    The steady-state step loop is allocation-flat: with trace
-    recording off, {!run_batched} performs no per-instant heap
-    allocation (values live in int/float/string payload arrays indexed
-    by signal, tagged per instant).
+    Two stepping entries share one core: {!run_batched} steps [n]
+    instants of scenario 0 and {!step_many} steps one instant of every
+    scenario of a {!compile_scenarios} instance. The steady-state step
+    loop is allocation-flat: with trace recording off, {!run_batched}
+    performs no per-instant heap allocation (values live in
+    int/float/string payload arrays indexed by signal, tagged per
+    instant).
 
     Compilation {e fails} (with a diagnostic) on programs whose
     combined presence/value dependency graph is cyclic — exactly the
@@ -69,12 +72,17 @@ val scenarios : t -> int
     The zero-allocation convention: inputs are addressed by their
     dense signal index and written into a preallocated stimulus
     buffer; outputs are read back from the instance without
-    materializing lists. One instant is:
+    materializing lists. A stepping call ({!run_batched},
+    {!step_many}) clears the buffer and hands it to a [fill] callback
+    before each instant, then the results of the last instant are
+    read back:
 
-    {[ Compile.stim_clear c;
-       Compile.set_stim c i v;          (* per present input *)
-       Compile.step_prepared c;
-       Compile.iter_present c (fun i v -> ...) ]} *)
+    {[ match
+         Compile.run_batched c ~n:1 ~fill:(fun c _ ->
+             Compile.set_stim c i v)           (* per present input *)
+       with
+       | Ok () -> Compile.iter_present c (fun i v -> ...)
+       | Error m -> ... ]} *)
 
 val n_signals : t -> int
 
@@ -86,18 +94,17 @@ val signal_name : t -> int -> Signal_lang.Ast.ident
 val is_input : t -> int -> bool
 (** Whether dense index [i] names an input signal (stimulus target). *)
 
-val stim_clear : t -> unit
-(** Reset the stimulus buffer of the selected scenario: every input
-    becomes absent for the next instant. *)
-
 val set_stim : t -> int -> Signal_lang.Types.value -> unit
-(** Mark input [i] present with the given value for the next instant.
-    Raising paths (non-input or out-of-range index) surface as the
-    [Error] of the enclosing {!step_prepared}/{!run_batched} call. *)
+(** Mark input [i] present with the given value for the instant being
+    filled. Only meaningful inside a [fill] callback; a non-input or
+    out-of-range index surfaces as the [Error] of the enclosing
+    {!run_batched}/{!step_many} call. *)
 
-val step_prepared : t -> (unit, string) result
-(** Execute one instant from the current stimulus buffer. Read results
-    back with {!out_present}/{!out_value}/{!iter_present}. *)
+val set_stim_named :
+  t -> Signal_lang.Ast.ident -> Signal_lang.Types.value -> unit
+(** {!set_stim} by signal name, for callers that hold name-based
+    stimuli; an unknown name fails the enclosing call the same way
+    (["stimulus for unknown signal x"]). *)
 
 val out_present : t -> int -> bool
 (** Whether signal [i] was present at the last executed instant. *)
@@ -115,14 +122,21 @@ val present_assoc :
     list (ascending index order), for dense ABI callers that still
     need the boxed view (e.g. safety predicates). *)
 
-(** {1 Stepping} *)
+(** {1 Stepping}
+
+    Both entries run one stepping core: it times the call into
+    [compile.step_ns], turns any stimulus or step error into [Error],
+    and leaves scenario 0 selected on every exit, so {!out_present},
+    {!out_value}, {!iter_present} and {!present_assoc} read scenario 0
+    after either call, including after an [Error]. *)
 
 val run_batched : t -> n:int -> fill:(t -> int -> unit) -> (unit, string) result
 (** Execute [n] instants in one call over scenario 0, with plan and
     metrics lookups hoisted out of the loop and no intermediate lists.
     [fill c k] must set the stimulus for relative instant [k] via
-    {!set_stim} (the buffer is cleared before each call). With
-    recording off the loop does not allocate per instant. *)
+    {!set_stim} (the buffer is cleared before each call). [~n:1] is
+    the one-instant step. With recording off the loop does not
+    allocate per instant. *)
 
 val step_many : t -> fill:(t -> int -> unit) -> (unit, string) result
 (** Advance {e every} scenario of the instance by one instant, in
@@ -130,11 +144,6 @@ val step_many : t -> fill:(t -> int -> unit) -> (unit, string) result
     stimulus via {!set_stim}. Per-scenario results land in
     {!trace_of}; each scenario behaves exactly as an independent
     instance driven with the same stimuli (tested). *)
-
-val run :
-  Signal_lang.Kernel.kprocess ->
-  stimuli:(Signal_lang.Ast.ident * Signal_lang.Types.value) list list ->
-  (Trace.t, string) result
 
 val trace : t -> Trace.t
 (** Trace of scenario 0. *)

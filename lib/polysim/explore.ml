@@ -109,9 +109,9 @@ let stim_space c inputs =
 let stim_digit sp i s =
   (s / sp.ss_suffix.(i + 1)) mod Array.length sp.ss_alts.(i)
 
-(* write combination [s] into the instance's dense stimulus buffer *)
+(* write combination [s] into the instance's (cleared) dense stimulus
+   buffer *)
 let fill_stim c sp s =
-  Compile.stim_clear c;
   for i = 0 to Array.length sp.ss_idx - 1 do
     match sp.ss_alts.(i).(stim_digit sp i s) with
     | Some v -> Compile.set_stim c sp.ss_idx.(i) v
@@ -169,8 +169,9 @@ let check_dfs ?(depth = 8) ~inputs ~safe kp =
             let snap = Compile.snapshot c in
             for s = 0 to nstim - 1 do
               Compile.restore c snap;
-              fill_stim c sp s;
-              match Compile.step_prepared c with
+              match
+                Compile.run_batched c ~n:1 ~fill:(fun c _ -> fill_stim c sp s)
+              with
               | Ok () ->
                 if not (safe (Compile.present_assoc c)) then
                   raise (Stop (Violated (trail_assoc sp (s :: trail))));
@@ -329,8 +330,10 @@ let check ?(depth = 8) ?jobs ~inputs ~safe kp =
                       let ek = base + s in
                       if ek < Atomic.get best_edge then begin
                         Compile.restore c snap;
-                        fill_stim c sp s;
-                        match Compile.step_prepared c with
+                        match
+                          Compile.run_batched c ~n:1 ~fill:(fun c _ ->
+                              fill_stim c sp s)
+                        with
                         | Ok () ->
                           Metrics.incr m_steps;
                           if not (safe (Compile.present_assoc c)) then
@@ -406,23 +409,12 @@ let states_int f = if f >= float_of_int max_int then max_int else int_of_float f
    the stimulus buffer, then the boxed present view for the safety
    predicate *)
 let step_assoc r stimulus =
-  Compile.stim_clear r;
-  let rec fill = function
-    | [] -> Ok ()
-    | (x, v) :: rest -> (
-      match Compile.signal_index r x with
-      | Some i when Compile.is_input r i ->
-        Compile.set_stim r i v;
-        fill rest
-      | Some _ -> Error ("stimulus for non-input signal " ^ x)
-      | None -> Error ("stimulus for unknown signal " ^ x))
-  in
-  match fill stimulus with
+  match
+    Compile.run_batched r ~n:1 ~fill:(fun r _ ->
+        List.iter (fun (x, v) -> Compile.set_stim_named r x v) stimulus)
+  with
   | Error _ as e -> e
-  | Ok () -> (
-    match Compile.step_prepared r with
-    | Error _ as e -> e
-    | Ok () -> Ok (Compile.present_assoc r))
+  | Ok () -> Ok (Compile.present_assoc r)
 
 let check_symbolic ?depth ~inputs ~prop kp =
   match Compile.compile kp with

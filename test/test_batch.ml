@@ -26,22 +26,12 @@ let case_stim t =
   ("tick", ve) :: (if t = 0 then [ ("env_pGo", vi 1) ] else [])
 
 let fill_assoc c stim =
-  List.iter
-    (fun (x, v) ->
-      match Compile.signal_index c x with
-      | Some i -> Compile.set_stim c i v
-      | None -> Alcotest.fail ("unknown input " ^ x))
-    stim
+  List.iter (fun (x, v) -> Compile.set_stim_named c x v) stim
 
 let step_all c stims =
-  List.iter
-    (fun stim ->
-      Compile.stim_clear c;
-      fill_assoc c stim;
-      match Compile.step_prepared c with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m)
-    stims
+  match Test_compile.step_named c stims with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m
 
 (* run_batched over the translated case study: same trace as the
    one-instant loop and as the interpreter *)
@@ -115,6 +105,64 @@ let test_pipeline_scenarios () =
           true (Trace.equal traces.(s) tr)
     done
 
+(* an Error out of step_many leaves scenario 0 selected, like every
+   other exit: the dense accessors read and write scenario 0, not the
+   scenario whose stimulus failed *)
+let test_step_many_error_selects_scenario_0 () =
+  let kp = (analyzed ()).Polychrony.Pipeline.kernel in
+  let c = Result.get_ok (Compile.compile_scenarios kp ~scenarios:2) in
+  let index x =
+    match Compile.signal_index c x with
+    | Some i -> i
+    | None -> Alcotest.fail ("case study has no signal " ^ x)
+  in
+  let tick = index "tick" and go = index "env_pGo" in
+  let non_input =
+    match
+      List.find_opt
+        (fun i -> not (Compile.is_input c i))
+        (List.init (Compile.n_signals c) Fun.id)
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "case study has no non-input signal"
+  in
+  (* scenario 0 ticks and steps; scenario 1's stimulus is refused *)
+  (match
+     Compile.step_many c ~fill:(fun c s ->
+         if s = 0 then begin
+           Compile.set_stim c tick ve;
+           Compile.set_stim c go (vi 1)
+         end
+         else Compile.set_stim c non_input ve)
+   with
+  | Ok () -> Alcotest.fail "a non-input stimulus must fail the step"
+  | Error _ -> ());
+  Alcotest.(check bool) "out_present reads scenario 0" true
+    (Compile.out_present c tick);
+  Compile.set_stim c go (vi 7);
+  Alcotest.(check bool) "set_stim writes scenario 0" true
+    (Compile.out_value c go = Some (vi 7))
+
+(* an environment naming an unknown input fails both compiled drivers
+   with one SIM-001 diagnostic naming the instant *)
+let test_unknown_input_same_error () =
+  let a = analyzed () in
+  let env t = if t = 3 then [ ("env_nope", 1) ] else [] in
+  let diag = function
+    | Ok _ -> Alcotest.fail "an unknown input must fail the simulation"
+    | Error [ d ] -> (d.Putil.Diag.code, d.Putil.Diag.message)
+    | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+  in
+  let single = diag (Polychrony.Pipeline.simulate ~compiled:true ~env a) in
+  let lockstep =
+    diag
+      (Polychrony.Pipeline.simulate_scenarios ~envs:(fun _ -> env)
+         ~scenarios:3 a)
+  in
+  Alcotest.(check (pair string string)) "simulate ~compiled:true"
+    ("SIM-001", "instant 3: stimulus for unknown signal env_nope") single;
+  Alcotest.(check (pair string string)) "simulate_scenarios" single lockstep
+
 (* random kernels: batched and lockstep stepping agree with the
    one-instant loop (reusing the clock-consistent generator of
    test_compile) *)
@@ -146,9 +194,9 @@ let prop_batched_equivalence =
           let steps_ok =
             Array.for_all
               (fun t ->
-                Compile.stim_clear c_step;
-                fill c_step t;
-                match Compile.step_prepared c_step with
+                match
+                  Compile.run_batched c_step ~n:1 ~fill:(fun c _ -> fill c t)
+                with
                 | Ok () -> true
                 | Error _ -> false)
               (Array.init horizon Fun.id)
@@ -184,9 +232,10 @@ let prop_batched_equivalence =
                      let ci = Result.get_ok (Compile.compile kp) in
                      let indep_ok = ref true in
                      for t = 0 to horizon - 1 do
-                       Compile.stim_clear ci;
-                       fill ci (stim_of s t);
-                       match Compile.step_prepared ci with
+                       match
+                         Compile.run_batched ci ~n:1 ~fill:(fun c _ ->
+                             fill c (stim_of s t))
+                       with
                        | Ok () -> ()
                        | Error _ -> indep_ok := false
                      done;
@@ -239,6 +288,10 @@ let suite =
          test_step_many_case_study;
        Alcotest.test_case "pipeline scenarios" `Quick
          test_pipeline_scenarios;
+       Alcotest.test_case "step_many error selects scenario 0" `Quick
+         test_step_many_error_selects_scenario_0;
+       Alcotest.test_case "unknown input: one SIM-001 message" `Quick
+         test_unknown_input_same_error;
        Alcotest.test_case "steady-state allocation flat" `Quick
          test_steady_state_allocation_flat ]
      @ qsuite) ]

@@ -26,9 +26,23 @@ let traces_equal t1 t2 =
            (List.init (Trace.length t1) Fun.id))
        names
 
+(* the compiled counterpart of [Engine.run]: one [run_batched ~n:1]
+   call per instant, named stimuli resolved by [set_stim_named] *)
+let step_named c stimuli =
+  List.fold_left
+    (fun r stim ->
+      Result.bind r (fun () ->
+          Compile.run_batched c ~n:1 ~fill:(fun c _ ->
+              List.iter (fun (x, v) -> Compile.set_stim_named c x v) stim)))
+    (Ok ()) stimuli
+
+let compiled_run kp ~stimuli =
+  Result.bind (Compile.compile kp) (fun c ->
+      Result.map (fun () -> Compile.trace c) (step_named c stimuli))
+
 let check_equiv ?(msg = "traces agree") p stimuli =
   let kp = N.process_exn p in
-  match Engine.run kp ~stimuli, Compile.run kp ~stimuli with
+  match Engine.run kp ~stimuli, compiled_run kp ~stimuli with
   | Ok t1, Ok t2 -> Alcotest.(check bool) msg true (traces_equal t1 t2)
   | Error m, _ -> Alcotest.fail ("engine: " ^ m)
   | _, Error m -> Alcotest.fail ("compile: " ^ m)
@@ -129,7 +143,7 @@ let test_case_study_equiv () =
         List.init horizon (fun t ->
             ("tick", ve) :: (if t = 0 then [ ("env_pGo", vi 1) ] else []))
       in
-      match Engine.run kp ~stimuli, Compile.run kp ~stimuli with
+      match Engine.run kp ~stimuli, compiled_run kp ~stimuli with
       | Ok t1, Ok t2 ->
         Alcotest.(check bool) "case study traces identical" true
           (traces_equal t1 t2)
@@ -292,7 +306,7 @@ let prop_random_equivalence =
         let stimuli =
           List.map (fun (n, b) -> [ ("x", vi n); ("c", vb b) ]) stims
         in
-        (match Engine.run kp ~stimuli, Compile.run kp ~stimuli with
+        (match Engine.run kp ~stimuli, compiled_run kp ~stimuli with
          | Ok t1, Ok t2 ->
            let ok = traces_equal t1 t2 in
            if not ok then
@@ -330,11 +344,7 @@ let test_memoized_instances_independent () =
   let c2 = Result.get_ok (Compile.compile kp) in
   let d0 = Compile.state_digest c2 in
   let step c =
-    Compile.stim_clear c;
-    (match Compile.signal_index c "e" with
-    | Some i -> Compile.set_stim c i ve
-    | None -> Alcotest.fail "no input e");
-    match Compile.step_prepared c with
+    match step_named c [ [ ("e", ve) ] ] with
     | Ok () -> List.assoc_opt "n" (Compile.present_assoc c)
     | Error m -> Alcotest.fail m
   in

@@ -505,24 +505,6 @@ let prop_normalize_keeps_spans =
             (fun d -> List.mem (Ast.mark_span d.Ast.var_mark) allowed)
             (K.signals kp)))
 
-let prop_optimize_keeps_spans =
-  QCheck2.Test.make ~name:"optimize never fabricates source positions"
-    ~count:200 gen_expr (fun e ->
-      let printed = Pp.process_to_string (mk_process e) in
-      match SP.parse_process printed with
-      | Error m -> QCheck2.Test.fail_reportf "reparse: %s\n%s" m printed
-      | Ok p -> (
-        match Signal_lang.Normalize.process p with
-        | Error m -> QCheck2.Test.fail_reportf "normalize: %s" (Putil.Diag.to_string m)
-        | Ok kp ->
-          let before =
-            List.map (fun d -> Ast.mark_span d.Ast.var_mark) (K.signals kp)
-          in
-          let kp' = Signal_lang.Optimize.optimize kp in
-          List.for_all
-            (fun d -> List.mem (Ast.mark_span d.Ast.var_mark) before)
-            (K.signals kp')))
-
 let prop_digest_stability =
   QCheck2.Test.make ~name:"stage digests: deterministic, semantic strips marks"
     ~count:200 gen_expr (fun e ->
@@ -576,8 +558,8 @@ let prop_proc_digest_isolation =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_normalize_keeps_spans; prop_optimize_keeps_spans;
-      prop_digest_stability; prop_proc_digest_isolation ]
+    [ prop_normalize_keeps_spans; prop_digest_stability;
+      prop_proc_digest_isolation ]
 
 let suite =
   [ ( "incremental",
