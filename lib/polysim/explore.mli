@@ -101,7 +101,9 @@ val check_symbolic :
     [Violated]. A replay that diverges from the symbolic verdict is a
     bug surfaced as [EXPLORE-SYM-002]. Processes outside the symbolic
     fragment fail with [EXPLORE-SYM-001] ({!Symbolic.code_unsupported})
-    so callers can fall back to an explicit engine. *)
+    so callers can fall back to an explicit engine. That rejection is
+    cheap, decided before any BDD is built, so trying this engine first
+    costs little on a model it cannot take. *)
 
 val reachable_states :
   ?depth:int ->

@@ -56,15 +56,37 @@ type outcome =
 (* Value identity and finite domains                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Structural identity key. NOT Types.equal_value: state codes must
-   distinguish Vevent from Vbool true, and reals compare by bits. *)
-let vid = function
-  | Types.Vint n -> "i" ^ string_of_int n
-  | Types.Vbool true -> "T"
-  | Types.Vbool false -> "F"
-  | Types.Vevent -> "E"
-  | Types.Vreal r -> "r" ^ Int64.to_string (Int64.bits_of_float r)
-  | Types.Vstring s -> "s" ^ s
+(* Structural value identity. NOT Types.equal_value: state codes must
+   distinguish Vevent from Vbool true, and reals compare by bits.
+   Neither the comparison nor the hash allocates. *)
+let same_value a b =
+  match a, b with
+  | Types.Vint x, Types.Vint y -> Int.equal x y
+  | Types.Vbool x, Types.Vbool y -> Bool.equal x y
+  | Types.Vevent, Types.Vevent -> true
+  | Types.Vreal x, Types.Vreal y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Types.Vstring x, Types.Vstring y -> String.equal x y
+  | _ -> false
+
+module Vtbl = Hashtbl.Make (struct
+  type t = Types.value
+
+  let equal = same_value
+  let hash = Hashtbl.hash
+end)
+
+(* distinct values of [vs], in first-seen order *)
+let dedup vs =
+  let seen = Vtbl.create 8 in
+  List.filter
+    (fun v ->
+      if Vtbl.mem seen v then false
+      else begin
+        Vtbl.add seen v ();
+        true
+      end)
+    vs
 
 (* Mirrors Compile.atom_equal / Types.equal_value (event/bool cross). *)
 let veq a b =
@@ -77,28 +99,9 @@ let veq a b =
   | Types.Vstring x, Types.Vstring y -> String.equal x y
   | _ -> false
 
-type dom = Dset of Types.value list | Dtop
-
 let dom_cap = 64
 let queue_cap_max = 16
 let part_cap = 128
-
-let dom_add d v =
-  match d with
-  | Dtop -> Dtop
-  | Dset vs ->
-    if List.exists (fun w -> String.equal (vid w) (vid v)) vs then d
-    else if List.length vs >= dom_cap then Dtop
-    else Dset (vs @ [ v ])
-
-let dom_join a b =
-  match a, b with
-  | Dtop, _ | _, Dtop -> Dtop
-  | Dset _, Dset ws -> List.fold_left dom_add a ws
-
-let dom_size = function Dtop -> max_int | Dset vs -> List.length vs
-
-let bool2 = Dset [ Types.Vbool true; Types.Vbool false ]
 
 (* Non-error result of an arithmetic binop on two concrete values;
    mirrors Compile.exec_binop (int ops, real ops sans Mod). *)
@@ -121,96 +124,149 @@ let arith bop a b =
     | _ -> None)
   | _ -> None
 
-(* Least fixpoint of per-signal value domains. [in_dom.(i)] is the
-   domain an input signal draws from its stimulus alternatives. *)
-let domains (prog : Prog.t) (in_dom : dom array) =
+(* A value domain under inference: its values in first-insertion
+   order, or [top] once a value beyond the [dom_cap]-th arrives. *)
+type dom = {
+  mutable elems : Types.value array;
+  mutable len : int;
+  mutable top : bool;
+  mem : unit Vtbl.t;
+}
+
+(* Least fixpoint of per-signal value domains; [in_vals.(i)] are the
+   values an input signal draws from its stimulus alternatives. A
+   domain is [None] when it outgrew [dom_cap].
+
+   Signals are swept in index order. A visit appends the values its
+   transfer produces, in production order, that the domain lacks; a
+   transfer goes [top] as soon as an operand is [top] or the union
+   exceeds the cap. A sweep visits only the dirty signals, those with
+   an operand that grew since their last visit (set through the
+   reverse-dependency table), and the fixpoint is the first sweep
+   that leaves nothing dirty. Skipping a clean signal is exact, since
+   its transfer would append nothing, so the domains and their element
+   order are those of a plain round-robin sweep. *)
+let domains (prog : Prog.t) (in_vals : Types.value array array) =
   let n = prog.Prog.n in
-  let doms = Array.make n (Dset []) in
-  let adom = function
-    | Prog.Avar y -> doms.(y)
-    | Prog.Aconst v -> Dset [ v ]
+  let doms =
+    Array.init n (fun _ ->
+      { elems = [||]; len = 0; top = false; mem = Vtbl.create 1 })
   in
-  let cross f a b =
-    match a, b with
-    | Dtop, _ | _, Dtop -> Dtop
-    | Dset xs, Dset ys ->
-      List.fold_left
-        (fun acc x ->
-          List.fold_left
-            (fun acc y ->
-              match f x y with Some v -> dom_add acc v | None -> acc)
-            acc ys)
-        (Dset []) xs
+  let add d v =
+    if not (d.top || Vtbl.mem d.mem v) then
+      if d.len >= dom_cap then d.top <- true
+      else begin
+        if d.len = 0 then d.elems <- Array.make dom_cap v;
+        d.elems.(d.len) <- v;
+        d.len <- d.len + 1;
+        Vtbl.add d.mem v ()
+      end
   in
-  let map1 f a =
-    match a with
-    | Dtop -> Dtop
-    | Dset xs ->
-      List.fold_left
-        (fun acc x ->
-          match f x with Some v -> dom_add acc v | None -> acc)
-        (Dset []) xs
+  let is_top = function Prog.Avar y -> doms.(y).top | Prog.Aconst _ -> false in
+  (* a snapshot: the operand may be the domain being extended *)
+  let vals = function
+    | Prog.Aconst v -> [| v |]
+    | Prog.Avar y -> Array.sub doms.(y).elems 0 doms.(y).len
   in
-  let transfer i =
+  (* [f] over operand [a]'s values; an unbounded operand makes [d]
+     unbounded, and so does a union once either side is *)
+  let each d a f = if is_top a then d.top <- true else Array.iter f (vals a) in
+  let copy d a = each d a (add d) in
+  let map1 d f a = each d a (fun x -> Option.iter (add d) (f x)) in
+  let transfer i d =
     match prog.Prog.vdefs.(i) with
-    | Prog.Vnone -> if prog.Prog.is_input.(i) then in_dom.(i) else Dset []
+    | Prog.Vnone -> Array.iter (add d) in_vals.(i)
     | Prog.Vfunc (op, args) -> (
       match op, Array.length args with
-      | K.Pid, 1 -> adom args.(0)
-      | K.Pclock, 1 -> Dset [ Types.Vevent ]
+      | K.Pid, 1 -> copy d args.(0)
+      | K.Pclock, 1 -> add d Types.Vevent
       | K.Punop Ast.Not, 1 ->
-        map1
+        map1 d
           (function
             | Types.Vbool b -> Some (Types.Vbool (not b))
             | Types.Vevent -> Some (Types.Vbool false)
             | _ -> None)
-          (adom args.(0))
+          args.(0)
       | K.Punop Ast.Neg, 1 ->
-        map1
+        map1 d
           (function
             | Types.Vint x -> Some (Types.Vint (-x))
             | Types.Vreal x -> Some (Types.Vreal (-.x))
             | _ -> None)
-          (adom args.(0))
-      | K.Pif, 3 -> dom_join (adom args.(1)) (adom args.(2))
+          args.(0)
+      | K.Pif, 3 ->
+        copy d args.(1);
+        copy d args.(2)
       | K.Pbinop bop, 2 -> (
         match bop with
         | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod ->
-          cross (arith bop) (adom args.(0)) (adom args.(1))
+          if is_top args.(1) then d.top <- true
+          else begin
+            let ys = vals args.(1) in
+            each d args.(0) (fun x ->
+              Array.iter (fun y -> Option.iter (add d) (arith bop x y)) ys)
+          end
         | Ast.And | Ast.Or | Ast.Xor | Ast.Eq | Ast.Neq | Ast.Lt
         | Ast.Le | Ast.Gt | Ast.Ge ->
-          bool2)
-      | _ -> Dset [])
+          add d (Types.Vbool true);
+          add d (Types.Vbool false))
+      | _ -> ())
     | Prog.Vdelay ->
-      let d = dom_add doms.(i) prog.Prog.delay_init.(i) in
+      add d prog.Prog.delay_init.(i);
       let src = prog.Prog.delay_src.(i) in
-      if src >= 0 then dom_join d doms.(src) else d
-    | Prog.Vwhen a -> adom a
-    | Prog.Vdefault (l, r) -> dom_join (adom l) (adom r)
+      if src >= 0 then copy d (Prog.Avar src)
+    | Prog.Vwhen a -> copy d a
+    | Prog.Vdefault (l, r) ->
+      copy d l;
+      copy d r
     | Prog.Vprim (pi, pos) ->
       let lp = prog.Prog.prims.(pi) in
-      if pos = 0 then adom (Prog.Avar lp.Prog.lp_ins.(0))
-      else begin
-        let cap = max 1 lp.Prog.lp_capacity in
-        let d = ref (Dset []) in
-        for k = 0 to cap do
-          d := dom_add !d (Types.Vint k)
-        done;
-        !d
-      end
+      if pos = 0 then copy d (Prog.Avar lp.Prog.lp_ins.(0))
+      else
+        for k = 0 to max 1 lp.Prog.lp_capacity do
+          add d (Types.Vint k)
+        done
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  (* readers.(y): the signals whose transfer reads y's domain *)
+  let readers = Array.make n [] in
+  Array.iteri
+    (fun i def ->
+      let reads y = readers.(y) <- i :: readers.(y) in
+      let reads_atom = function Prog.Avar y -> reads y | Prog.Aconst _ -> () in
+      match def with
+      | Prog.Vnone -> ()
+      | Prog.Vfunc (_, args) -> Array.iter reads_atom args
+      | Prog.Vdelay ->
+        let src = prog.Prog.delay_src.(i) in
+        if src >= 0 then reads src
+      | Prog.Vwhen a -> reads_atom a
+      | Prog.Vdefault (l, r) -> reads_atom l; reads_atom r
+      | Prog.Vprim (pi, pos) ->
+        if pos = 0 then reads prog.Prog.prims.(pi).Prog.lp_ins.(0))
+    prog.Prog.vdefs;
+  let dirty = Array.make n true in
+  let again = ref true in
+  while !again do
+    again := false;
     for i = 0 to n - 1 do
-      let d' = dom_join doms.(i) (transfer i) in
-      if dom_size d' <> dom_size doms.(i) then begin
-        doms.(i) <- d';
-        changed := true
+      if dirty.(i) then begin
+        dirty.(i) <- false;
+        let d = doms.(i) in
+        let len0 = d.len and top0 = d.top in
+        if not d.top then transfer i d;
+        if d.len <> len0 || d.top <> top0 then
+          List.iter
+            (fun j ->
+              dirty.(j) <- true;
+              (* a later reader is visited in this sweep *)
+              if j <= i then again := true)
+            readers.(i)
       end
     done
   done;
-  doms
+  Array.map
+    (fun d -> if d.top then None else Some (Array.sub d.elems 0 d.len))
+    doms
 
 (* ------------------------------------------------------------------ *)
 (* Bit encodings                                                       *)
@@ -258,10 +314,12 @@ type qenc = {
 }
 
 let vindex vals v =
-  let k = vid v in
-  let r = ref (-1) in
-  Array.iteri (fun j w -> if !r < 0 && String.equal (vid w) k then r := j) vals;
-  !r
+  let rec go j =
+    if j >= Array.length vals then -1
+    else if same_value vals.(j) v then j
+    else go (j + 1)
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
@@ -287,21 +345,7 @@ let run_exn ~depth ~inputs ~prop c =
             if not prog.Prog.is_input.(i) then
               unsup "stimulus for non-input signal %s" name;
             let has_none = List.mem None alts in
-            let vals =
-              List.fold_left
-                (fun acc a ->
-                  match a with
-                  | None -> acc
-                  | Some v ->
-                    if
-                      List.exists
-                        (fun w -> String.equal (vid w) (vid v))
-                        acc
-                    then acc
-                    else acc @ [ v ])
-                [] alts
-            in
-            (i, has_none, Array.of_list vals))
+            (i, has_none, Array.of_list (dedup (List.filter_map Fun.id alts))))
         inputs
     in
     (* a doubly-listed input would make the explicit cross-product
@@ -314,11 +358,9 @@ let run_exn ~depth ~inputs ~prop c =
           unsup "input %s listed twice" prog.Prog.names.(i);
         Hashtbl.add seen_in i ())
       in_specs;
-    let in_dom = Array.make n (Dset []) in
-    List.iter
-      (fun (i, _, vals) -> in_dom.(i) <- Dset (Array.to_list vals))
-      in_specs;
-    let doms = domains prog in_dom in
+    let in_vals = Array.make n [||] in
+    List.iter (fun (i, _, vals) -> in_vals.(i) <- vals) in_specs;
+    let doms = domains prog in_vals in
     (* ---- state bit allocation: delay registers, then queues ---- *)
     let sbn = ref 0 in
     let alloc bits =
@@ -332,10 +374,10 @@ let run_exn ~depth ~inputs ~prop c =
         match prog.Prog.vdefs.(i) with
         | Prog.Vdelay -> (
           match doms.(i) with
-          | Dtop ->
+          | None ->
             unsup "delay register %s has an unbounded value domain"
               prog.Prog.names.(i)
-          | Dset vs -> acc := (i, Array.of_list vs) :: !acc)
+          | Some vals -> acc := (i, vals) :: !acc)
         | _ -> ()
       done;
       List.map
@@ -355,10 +397,10 @@ let run_exn ~depth ~inputs ~prop c =
               lp.Prog.lp_ki.K.ki_label cap queue_cap_max;
           let qcell =
             match doms.(lp.Prog.lp_ins.(0)) with
-            | Dtop ->
+            | None ->
               unsup "queue %s has an unbounded element domain"
                 lp.Prog.lp_ki.K.ki_label
-            | Dset vs -> Array.of_list vs
+            | Some vals -> vals
           in
           let qcbits = ceil_log2 (Array.length qcell) in
           let qlbits = ceil_log2 (cap + 1) in
@@ -517,16 +559,19 @@ let run_exn ~depth ~inputs ~prop c =
            es)
     in
     let merge es =
-      let out : (string * (Types.value * Bdd.t ref)) list ref = ref [] in
+      let idx = Vtbl.create 8 in
+      let out = ref [] in (* newest first *)
       List.iter
         (fun (v, g) ->
           if not (Bdd.is_zero g) then
-            let k = vid v in
-            match List.assoc_opt k !out with
-            | Some (_, r) -> r := b_or !r g
-            | None -> out := !out @ [ (k, (v, ref g)) ])
+            match Vtbl.find_opt idx v with
+            | Some r -> r := b_or !r g
+            | None ->
+              let r = ref g in
+              Vtbl.add idx v r;
+              out := (v, r) :: !out)
         es;
-      let es = List.map (fun (_, (v, r)) -> (v, !r)) !out in
+      let es = List.rev_map (fun (v, r) -> (v, !r)) !out in
       if List.length es > part_cap then
         unsup "a value partition exceeds %d entries" part_cap;
       es

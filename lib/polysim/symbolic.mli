@@ -18,7 +18,9 @@
     outside the fragment — unbounded value domains reaching a
     register or queue, queues deeper than 16 — are rejected with an
     [EXPLORE-SYM-001] diagnostic so callers can fall back to the
-    explicit engine. *)
+    explicit engine. Deciding the fragment is cheap: the value-domain
+    inference that decides it re-evaluates a signal only when one of
+    its operands' domains grew, and rejects before any BDD is built. *)
 
 val code_unsupported : string
 (** Diagnostic code emitted when the process is outside the

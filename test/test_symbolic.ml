@@ -15,20 +15,25 @@ let ve = Types.Vevent
 let vi n = Types.Vint n
 let vb b = Types.Vbool b
 
-(* integer counter modulo 3, advanced by [tk] *)
-let mod_counter =
-  lazy
-    (N.process_exn
-       (B.proc ~name:"mod_counter"
-          ~inputs:[ Ast.var "tk" Types.Tevent ]
-          ~outputs:[ Ast.var "out" Types.Tint ]
-          ~locals:[ Ast.var "c" Types.Tint; Ast.var "pc" Types.Tint ]
-          B.[
-            "pc" := delay ~init:(vi 0) (v "c");
-            "c" := (v "pc" + i 1) mod i 3;
-            v "c" ^= v "tk";
-            "out" := v "c";
-          ]))
+(* integer counter modulo [m], advanced by [tk]; its register [pc]
+   has exactly [m] values *)
+let mod_counter_m m =
+  N.process_exn
+    (B.proc ~name:"mod_counter"
+       ~inputs:[ Ast.var "tk" Types.Tevent ]
+       ~outputs:[ Ast.var "out" Types.Tint ]
+       ~locals:[ Ast.var "c" Types.Tint; Ast.var "pc" Types.Tint ]
+       B.[
+         "pc" := delay ~init:(vi 0) (v "c");
+         "c" := (v "pc" + i 1) mod i m;
+         v "c" ^= v "tk";
+         "out" := v "c";
+       ])
+
+let mod_counter = lazy (mod_counter_m 3)
+
+(* the widest register the domain inference accepts: dom_cap values *)
+let mod64_counter = lazy (mod_counter_m 64)
 
 let mod_counter_inputs = [ ("tk", [ None; Some ve ]) ]
 
@@ -72,6 +77,12 @@ let corpus =
          [ S.Never_value ("out", vi 0);
            S.Never_value ("out", vi 1);
            S.Never_value ("out", vi 5);
+           S.Never_present "out" ]
+     @ List.map
+         (fun p -> ("mod64_counter", Lazy.force mod64_counter,
+                    mod_counter_inputs, p))
+         [ S.Never_value ("out", vi 3);
+           S.Never_value ("out", vi 63);
            S.Never_present "out" ]
      @ List.map
          (fun p -> ("queue", Lazy.force queue_model, queue_inputs, p))
@@ -190,7 +201,19 @@ let test_runtime_error_parity () =
   Alcotest.(check string) "symbolic replays to the same code"
     "EXPLORE-SIM-001" (code sym)
 
-(* unbounded value domains reaching a register are out of fragment *)
+let expect_unsupported ?message label r =
+  match r with
+  | Error d ->
+    Alcotest.(check string) (label ^ ": EXPLORE-SYM-001") S.code_unsupported
+      d.Putil.Diag.code;
+    Option.iter
+      (fun m ->
+        Alcotest.(check string) (label ^ ": message") m d.Putil.Diag.message)
+      message
+  | Ok _ -> Alcotest.fail (label ^ ": must be rejected")
+
+(* unbounded value domains reaching a register are out of fragment,
+   and so is one value past the cap: a modulo-65 counter *)
 let test_unsupported_fragment () =
   let kp =
     N.process_exn
@@ -205,14 +228,66 @@ let test_unsupported_fragment () =
            "out" := v "c";
          ])
   in
-  match
-    E.check_symbolic ~depth:3 ~inputs:[ ("tk", [ None; Some ve ]) ]
-      ~prop:(S.Never_value ("out", vi 5)) kp
-  with
-  | Error d ->
-    Alcotest.(check string) "EXPLORE-SYM-001" S.code_unsupported
-      d.Putil.Diag.code
-  | Ok _ -> Alcotest.fail "unbounded counter must be rejected"
+  let prop = S.Never_value ("out", vi 5) in
+  expect_unsupported "unbounded counter"
+    (E.check_symbolic ~depth:3 ~inputs:mod_counter_inputs ~prop kp);
+  expect_unsupported "mod 65 counter"
+    (E.check_symbolic ~depth:3 ~inputs:mod_counter_inputs ~prop
+       (mod_counter_m 65))
+
+(* a register fed by x + y, x over 8 values and y over [ny] multiples
+   of 8: 8 * ny distinct sums *)
+let sum_register ny =
+  ( N.process_exn
+      (B.proc ~name:"sum_register"
+         ~inputs:[ Ast.var "x" Types.Tint; Ast.var "y" Types.Tint ]
+         ~outputs:[ Ast.var "out" Types.Tint ]
+         ~locals:[ Ast.var "z" Types.Tint ]
+         B.[ "z" := v "x" + v "y"; "out" := delay ~init:(vi 0) (v "z") ]),
+    [ ("x", List.init 8 (fun k -> Some (vi k)));
+      ("y", List.init ny (fun k -> Some (vi (8 * k)))) ] )
+
+(* the cap applies to a binop's product set, not to its operands: 64
+   sums fit, 72 do not, though every operand has at most 9 values *)
+let test_cap_boundary_product () =
+  let prop = S.Never_value ("out", vi 999) in
+  let kp, inputs = sum_register 8 in
+  (match compare_engines "64 sums" kp inputs prop 2 with
+  | None -> ()
+  | Some m -> Alcotest.fail m);
+  let kp, inputs = sum_register 9 in
+  expect_unsupported "72 sums" (E.check_symbolic ~depth:2 ~inputs ~prop kp)
+
+(* The case study is outside the fragment: the consumer's timer
+   register counts without bound. Deciding that is cheap (gated on
+   allocated words, not wall time), and the default engine then
+   answers with the explicit one. *)
+let test_case_study_rejection () =
+  let a = Lazy.force Test_pipeline.analyzed_nominal in
+  let inputs = Polychrony.Pipeline.verify_inputs a in
+  let reject () =
+    E.check_symbolic ~depth:8 ~inputs ~prop:(S.Never_present "Alarm")
+      a.Polychrony.Pipeline.kernel
+  in
+  ignore (reject ()) (* warm the compiled-plan memo *);
+  let w0 = Gc.minor_words () in
+  let r = reject () in
+  let words = Gc.minor_words () -. w0 in
+  expect_unsupported
+    ~message:
+      "delay register prProdCons_thConsTimer___t89 has an unbounded value \
+       domain"
+    "case study" r;
+  Alcotest.(check bool)
+    (Printf.sprintf "rejection allocates %.2f M minor words (at most 8 M)"
+       (words /. 1e6))
+    true (words <= 8e6);
+  match Polychrony.Pipeline.verify ~never:"Alarm" a with
+  | Ok (E.Holds, states, `Explicit) ->
+    Alcotest.(check int) "explicit engine explores 43 states" 43 states
+  | Ok (E.Holds, _, `Symbolic) -> Alcotest.fail "decided by the symbolic engine"
+  | Ok (E.Violated _, _, _) -> Alcotest.fail "Alarm is unreachable"
+  | Error d -> Alcotest.fail (Putil.Diag.to_string d)
 
 (* stimulus validation is shared by all engines *)
 let test_stimulus_validation () =
@@ -271,6 +346,10 @@ let suite =
          test_runtime_error_parity;
        Alcotest.test_case "unsupported fragment" `Quick
          test_unsupported_fragment;
+       Alcotest.test_case "cap boundary: binop product" `Quick
+         test_cap_boundary_product;
+       Alcotest.test_case "case study rejected cheaply" `Quick
+         test_case_study_rejection;
        Alcotest.test_case "stimulus validation" `Quick
          test_stimulus_validation;
        Alcotest.test_case "state_key allocation" `Quick
