@@ -1277,15 +1277,11 @@ let restore st snap =
 
 let set_recording st b = st.recording <- b
 
-let state_digest st =
-  let sn = snapshot st in
-  Marshal.to_string (sn.s_dstate, sn.s_queues) []
-
 (* Fixed-width state keys for visited sets: serialize the mutable state
    (delay registers + FIFO rings, the same fields [snapshot] captures
    minus the instant counter) into a reused byte buffer, then hash to a
-   16-byte MD5. Unlike [state_digest], the per-call garbage is one
-   16-byte string instead of a Marshal image of the boxed state. *)
+   16-byte MD5. The per-call garbage is one 16-byte string, not a
+   Marshal image of the boxed state. *)
 
 type keybuf = { mutable kbytes : Bytes.t; mutable kpos : int }
 

@@ -178,22 +178,19 @@ val restore : t -> snapshot -> unit
 val set_recording : t -> bool -> unit
 (** Disable trace recording during exploration (default on). *)
 
-val state_digest : t -> string
-(** Canonical byte string of the mutable state (delay memories and
-    FIFO contents, excluding the instant counter); equal digests mean
-    behaviourally identical continuations. *)
-
 type keybuf
 (** Reusable serialization buffer for {!state_key}; one per worker. *)
 
 val keybuf : unit -> keybuf
 
 val state_key : t -> keybuf -> string
-(** Fixed-width (16-byte MD5) key of the same state {!state_digest}
-    covers, serialized through the reused [keybuf] — the visited-set
-    key of the explicit explorer. Per call it allocates only the
-    digest string (plus one box per float-typed register), not a
-    Marshal image of the boxed state. *)
+(** Fixed-width (16-byte MD5) key of the mutable state (delay
+    memories and FIFO contents, excluding the instant counter),
+    serialized through the reused [keybuf]; equal keys mean
+    behaviourally identical continuations. The visited-set key of the
+    explicit explorer. Per call it allocates only the digest string
+    (plus one box per float-typed register), not a Marshal image of
+    the boxed state. *)
 
 (** {1 Symbolic introspection}
 

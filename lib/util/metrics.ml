@@ -1,8 +1,8 @@
-(* Counters, gauges and timers are lock-free atomics so the
-   instrumented hot paths (compiled step, explorer workers) can be
-   driven from several domains without losing events. Histograms shard
-   their accumulator by domain id behind short per-shard mutexes, so
-   [observe] is domain-safe without a contended global lock.
+(* Counters, gauges and timers are one record ([instrument]) with one
+   get-or-create path, one scope resolver and one write helper. All
+   writes are lock-free atomics, so the instrumented hot paths
+   (compiled step, explorer workers) can be driven from several
+   domains without losing events.
 
    Registries publish their name table as an immutable map in one
    [Atomic]: lookups are a plain load + map find (lock-free), creation
@@ -18,58 +18,25 @@
 
 module StrMap = Map.Make (String)
 
+type kind = Kcounter | Kgauge | Ktimer
+
 type registry = {
   map : instrument StrMap.t Atomic.t;
   mu : Mutex.t; (* guards instrument creation; lookups are lock-free *)
 }
 
-and instrument =
-  | Icounter of counter
-  | Igauge of gauge
-  | Itimer of timer
-  | Ihist of histogram
-
-and counter = {
-  c : int Atomic.t;
-  c_name : string;
-  c_ambient : bool; (* lives in [global]: writes roll into the scope *)
-  c_scoped : (registry * counter) option Atomic.t; (* last scope resolve *)
+and instrument = {
+  name : string;
+  kind : kind;
+  value : int Atomic.t; (* count, level, or timer span count *)
+  total_ns : int Atomic.t; (* timer duration; 0 for the other kinds *)
+  ambient : bool; (* lives in [global]: writes roll into the scope *)
+  scoped : (registry * instrument) option Atomic.t; (* last scope resolve *)
 }
 
-and gauge = {
-  g : int Atomic.t;
-  g_name : string;
-  g_ambient : bool;
-  g_scoped : (registry * gauge) option Atomic.t;
-}
-
-and timer = {
-  spans : int Atomic.t;
-  total_ns : int Atomic.t;
-  t_name : string;
-  t_ambient : bool;
-  t_scoped : (registry * timer) option Atomic.t;
-}
-
-and histogram = {
-  h_name : string;
-  h_ambient : bool;
-  h_scoped : (registry * histogram) option Atomic.t;
-  shards : hshard array;
-}
-
-(* one histogram shard; [Domain.self () land (num_shards - 1)] picks the
-   shard, so two domains only contend when their ids collide mod 8 *)
-and hshard = {
-  s_mu : Mutex.t;
-  mutable n : int;
-  mutable sum : float;
-  mutable mn : float;
-  mutable mx : float;
-  buckets : int array; (* index i counts values v with 2^(i-1) <= |v| < 2^i *)
-}
-
-let num_shards = 8
+type counter = instrument
+type gauge = instrument
+type timer = instrument
 
 let create () : registry =
   { map = Atomic.make StrMap.empty; mu = Mutex.create () }
@@ -89,203 +56,111 @@ let dls_ambient : registry list Domain.DLS.key =
 
 let ambient_stack () = Domain.DLS.get dls_ambient
 
+(* the one place the stack changes: [ambient_active] moves by exactly
+   the number of frames gained or lost, so a pop of an empty stack is a
+   no-op instead of hiding every later scope *)
 let set_ambient_stack st =
   let old = Domain.DLS.get dls_ambient in
   Domain.DLS.set dls_ambient st;
   let d = List.length st - List.length old in
   if d <> 0 then ignore (Atomic.fetch_and_add ambient_active d)
 
-let ambient_push reg =
-  Domain.DLS.set dls_ambient (reg :: Domain.DLS.get dls_ambient);
-  ignore (Atomic.fetch_and_add ambient_active 1)
+let ambient_push reg = set_ambient_stack (reg :: ambient_stack ())
 
 let ambient_pop () =
-  (match Domain.DLS.get dls_ambient with
-   | _ :: rest -> Domain.DLS.set dls_ambient rest
-   | [] -> ());
-  ignore (Atomic.fetch_and_add ambient_active (-1))
+  match ambient_stack () with
+  | _ :: rest -> set_ambient_stack rest
+  | [] -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Creation                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let kind_name = function
-  | Icounter _ -> "counter"
-  | Igauge _ -> "gauge"
-  | Itimer _ -> "timer"
-  | Ihist _ -> "histogram"
+  | Kcounter -> "counter"
+  | Kgauge -> "gauge"
+  | Ktimer -> "timer"
 
-let get_or_create (reg : registry) name make expect kind =
-  let coerce i =
-    match expect i with
-    | Some x -> x
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Metrics.%s: %S already registered as a %s" kind
-             name (kind_name i))
+let get_or_create kind (reg : registry) name =
+  let check i =
+    if i.kind <> kind then
+      invalid_arg
+        (Printf.sprintf "Metrics.%s: %S already registered as a %s"
+           (kind_name kind) name (kind_name i.kind));
+    i
   in
   match StrMap.find_opt name (Atomic.get reg.map) with
-  | Some i -> coerce i
+  | Some i -> check i
   | None ->
       Mutex.protect reg.mu (fun () ->
           (* re-check under the lock: another domain may have won *)
           match StrMap.find_opt name (Atomic.get reg.map) with
-          | Some i -> coerce i
+          | Some i -> check i
           | None ->
-              let i = make () in
+              let i =
+                { name; kind; value = Atomic.make 0; total_ns = Atomic.make 0;
+                  ambient = reg == global; scoped = Atomic.make None }
+              in
               Atomic.set reg.map (StrMap.add name i (Atomic.get reg.map));
-              coerce i)
+              i)
 
-let counter ?(registry = global) name =
-  get_or_create registry name
-    (fun () ->
-      Icounter
-        { c = Atomic.make 0; c_name = name;
-          c_ambient = registry == global; c_scoped = Atomic.make None })
-    (function Icounter c -> Some c | _ -> None)
-    "counter"
-
-let gauge ?(registry = global) name =
-  get_or_create registry name
-    (fun () ->
-      Igauge
-        { g = Atomic.make 0; g_name = name;
-          g_ambient = registry == global; g_scoped = Atomic.make None })
-    (function Igauge g -> Some g | _ -> None)
-    "gauge"
-
-let timer ?(registry = global) name =
-  get_or_create registry name
-    (fun () ->
-      Itimer
-        { spans = Atomic.make 0; total_ns = Atomic.make 0; t_name = name;
-          t_ambient = registry == global; t_scoped = Atomic.make None })
-    (function Itimer t -> Some t | _ -> None)
-    "timer"
-
-let histogram ?(registry = global) name =
-  get_or_create registry name
-    (fun () ->
-      Ihist
-        { h_name = name; h_ambient = registry == global;
-          h_scoped = Atomic.make None;
-          shards =
-            Array.init num_shards (fun _ ->
-                { s_mu = Mutex.create (); n = 0; sum = 0.; mn = infinity;
-                  mx = neg_infinity; buckets = Array.make 64 0 }) })
-    (function Ihist h -> Some h | _ -> None)
-    "histogram"
+let counter ?(registry = global) name = get_or_create Kcounter registry name
+let gauge ?(registry = global) name = get_or_create Kgauge registry name
+let timer ?(registry = global) name = get_or_create Ktimer registry name
 
 (* Resolve the same-named instrument in the innermost ambient registry.
    The last (registry, instrument) pair is cached in one Atomic on the
    global handle, so steady-state scoped writes cost a load + physical
    equality instead of a map lookup. The pair is immutable: a stale
    cache can never mix one scope's registry with another's cell. *)
-
-let scoped_counter top c =
-  match Atomic.get c.c_scoped with
-  | Some (r, c') when r == top -> c'
+let scoped top i =
+  match Atomic.get i.scoped with
+  | Some (r, i') when r == top -> i'
   | _ ->
-      let c' = counter ~registry:top c.c_name in
-      Atomic.set c.c_scoped (Some (top, c'));
-      c'
-
-let scoped_gauge top g =
-  match Atomic.get g.g_scoped with
-  | Some (r, g') when r == top -> g'
-  | _ ->
-      let g' = gauge ~registry:top g.g_name in
-      Atomic.set g.g_scoped (Some (top, g'));
-      g'
-
-let scoped_timer top t =
-  match Atomic.get t.t_scoped with
-  | Some (r, t') when r == top -> t'
-  | _ ->
-      let t' = timer ~registry:top t.t_name in
-      Atomic.set t.t_scoped (Some (top, t'));
-      t'
-
-let scoped_histogram top h =
-  match Atomic.get h.h_scoped with
-  | Some (r, h') when r == top -> h'
-  | _ ->
-      let h' = histogram ~registry:top h.h_name in
-      Atomic.set h.h_scoped (Some (top, h'));
-      h'
+      let i' = get_or_create i.kind top i.name in
+      Atomic.set i.scoped (Some (top, i'));
+      i'
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let incr ?(by = 1) c =
-  ignore (Atomic.fetch_and_add c.c by);
-  if c.c_ambient && Atomic.get ambient_active > 0 then
-    match Domain.DLS.get dls_ambient with
-    | [] -> ()
-    | top :: _ -> ignore (Atomic.fetch_and_add (scoped_counter top c).c by)
-
-let set_cell g v = Atomic.set g v
-
-let set g v =
-  set_cell g.g v;
-  if g.g_ambient && Atomic.get ambient_active > 0 then
-    match Domain.DLS.get dls_ambient with
-    | [] -> ()
-    | top :: _ -> set_cell (scoped_gauge top g).g v
+type op = Add | Set | Max | Span
 
 let rec max_cell cell v =
   let cur = Atomic.get cell in
   if v > cur && not (Atomic.compare_and_set cell cur v) then max_cell cell v
 
-let max_gauge g v =
-  max_cell g.g v;
-  if g.g_ambient && Atomic.get ambient_active > 0 then
+let[@inline] apply op i v =
+  match op with
+  | Add -> ignore (Atomic.fetch_and_add i.value v)
+  | Set -> Atomic.set i.value v
+  | Max -> max_cell i.value v
+  | Span ->
+      ignore (Atomic.fetch_and_add i.value 1);
+      ignore (Atomic.fetch_and_add i.total_ns (max 0 v))
+
+(* Apply [op] to the instrument and, for a [global] instrument under an
+   active scope, to its twin in the innermost ambient registry. Inlined
+   with a constant [op], so each write function below compiles to its
+   own straight-line atomic update. *)
+let[@inline] write op i v =
+  apply op i v;
+  if i.ambient && Atomic.get ambient_active > 0 then
     match Domain.DLS.get dls_ambient with
     | [] -> ()
-    | top :: _ -> max_cell (scoped_gauge top g).g v
+    | top :: _ -> apply op (scoped top i) v
+
+let incr ?(by = 1) c = write Add c by
+let set g v = write Set g v
+let max_gauge g v = write Max g v
+let add_span_ns t ns = write Span t ns
 
 (* Monotonic, so NTP steps cannot produce negative or inflated span
    durations; the same clock feeds Tracing's host-time spans. *)
-let now_ns = Clock.now_ns
-
-let add_span_cells t ns =
-  ignore (Atomic.fetch_and_add t.spans 1);
-  ignore (Atomic.fetch_and_add t.total_ns (max 0 ns))
-
-let add_span_ns t ns =
-  add_span_cells t ns;
-  if t.t_ambient && Atomic.get ambient_active > 0 then
-    match Domain.DLS.get dls_ambient with
-    | [] -> ()
-    | top :: _ -> add_span_cells (scoped_timer top t) ns
-
 let time t f =
-  let t0 = now_ns () in
-  Fun.protect ~finally:(fun () -> add_span_ns t (now_ns () - t0)) f
-
-let bucket_of v =
-  let v = Float.abs v in
-  if not (Float.is_finite v) || v < 1. then 0
-  else min 63 (1 + int_of_float (Float.log2 v))
-
-let observe_shard h v =
-  let s = h.shards.((Domain.self () :> int) land (num_shards - 1)) in
-  Mutex.lock s.s_mu;
-  s.n <- s.n + 1;
-  s.sum <- s.sum +. v;
-  if v < s.mn then s.mn <- v;
-  if v > s.mx then s.mx <- v;
-  let b = bucket_of v in
-  s.buckets.(b) <- s.buckets.(b) + 1;
-  Mutex.unlock s.s_mu
-
-let observe h v =
-  observe_shard h v;
-  if h.h_ambient && Atomic.get ambient_active > 0 then
-    match Domain.DLS.get dls_ambient with
-    | [] -> ()
-    | top :: _ -> observe_shard (scoped_histogram top h) v
+  let t0 = Clock.now_ns () in
+  Fun.protect ~finally:(fun () -> add_span_ns t (Clock.now_ns () - t0)) f
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
@@ -295,34 +170,13 @@ type stat =
   | Counter of int
   | Gauge of int
   | Timer of { spans : int; total_ns : int }
-  | Histogram of { count : int; sum : float; min : float; max : float }
 
-(* merged totals across shards; each shard is locked for the few loads
-   so a concurrent [observe] cannot yield an (n, sum) torn pair *)
-let hist_totals h =
-  let n = ref 0 and sum = ref 0. in
-  let mn = ref infinity and mx = ref neg_infinity in
-  let buckets = Array.make 64 0 in
-  Array.iter
-    (fun s ->
-      Mutex.lock s.s_mu;
-      n := !n + s.n;
-      sum := !sum +. s.sum;
-      if s.mn < !mn then mn := s.mn;
-      if s.mx > !mx then mx := s.mx;
-      Array.iteri (fun i c -> buckets.(i) <- buckets.(i) + c) s.buckets;
-      Mutex.unlock s.s_mu)
-    h.shards;
-  (!n, !sum, !mn, !mx, buckets)
-
-let stat_of = function
-  | Icounter c -> Counter (Atomic.get c.c)
-  | Igauge g -> Gauge (Atomic.get g.g)
-  | Itimer t ->
-      Timer { spans = Atomic.get t.spans; total_ns = Atomic.get t.total_ns }
-  | Ihist h ->
-      let n, sum, mn, mx, _ = hist_totals h in
-      Histogram { count = n; sum; min = mn; max = mx }
+let stat_of i =
+  match i.kind with
+  | Kcounter -> Counter (Atomic.get i.value)
+  | Kgauge -> Gauge (Atomic.get i.value)
+  | Ktimer ->
+      Timer { spans = Atomic.get i.value; total_ns = Atomic.get i.total_ns }
 
 let snapshot reg =
   StrMap.fold
@@ -341,23 +195,8 @@ let counter_value reg name =
 let reset reg =
   StrMap.iter
     (fun _ i ->
-      match i with
-      | Icounter c -> Atomic.set c.c 0
-      | Igauge g -> Atomic.set g.g 0
-      | Itimer t ->
-          Atomic.set t.spans 0;
-          Atomic.set t.total_ns 0
-      | Ihist h ->
-          Array.iter
-            (fun s ->
-              Mutex.lock s.s_mu;
-              s.n <- 0;
-              s.sum <- 0.;
-              s.mn <- infinity;
-              s.mx <- neg_infinity;
-              Array.fill s.buckets 0 (Array.length s.buckets) 0;
-              Mutex.unlock s.s_mu)
-            h.shards)
+      Atomic.set i.value 0;
+      Atomic.set i.total_ns 0)
     (Atomic.get reg.map)
 
 let prefix_of name =
@@ -384,12 +223,6 @@ let pp_stat ppf = function
           Format.fprintf ppf ", %.0f/s"
             (float_of_int spans /. (float_of_int total_ns /. 1e9))
       end
-  | Histogram { count; sum; min; max } ->
-      if count = 0 then Format.fprintf ppf "0 observations"
-      else
-        Format.fprintf ppf "n=%d sum=%g mean=%g min=%g max=%g" count sum
-          (sum /. float_of_int count)
-          min max
 
 let pp ppf reg =
   let stats = snapshot reg in
@@ -521,7 +354,18 @@ module Json = struct
            | 't' -> Buffer.add_char buf '\t'
            | 'u' ->
              if !pos + 4 > n then fail "truncated \\u escape";
-             let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+             let hex c =
+               match c with
+               | '0' .. '9' -> Char.code c - Char.code '0'
+               | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+               | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+               | _ -> fail "bad \\u escape"
+             in
+             let code = ref 0 in
+             for k = 0 to 3 do
+               code := (16 * !code) + hex s.[!pos + k]
+             done;
+             let code = !code in
              pos := !pos + 4;
              (* escape to UTF-8; surrogate pairs are not recombined,
                 which is fine for the ASCII metric names we emit *)
@@ -644,13 +488,6 @@ let json_of_stat = function
            ("spans", Json.Int spans);
            ("total_ns", Json.Int total_ns) ]
         @ extra)
-  | Histogram { count; sum; min; max } ->
-      Json.Obj
-        [ ("type", Json.String "histogram");
-          ("count", Json.Int count);
-          ("sum", Json.Float sum);
-          ("min", if count = 0 then Json.Null else Json.Float min);
-          ("max", if count = 0 then Json.Null else Json.Float max) ]
 
 let to_json reg =
   Json.Obj (List.map (fun (name, st) -> (name, json_of_stat st)) (snapshot reg))
@@ -732,11 +569,10 @@ let openmetrics pairs =
         | [] -> ()
         | (_, first) :: _ ->
             let typ =
-              match first with
-              | Icounter _ -> "counter"
-              | Igauge _ -> "gauge"
-              | Itimer _ -> "summary"
-              | Ihist _ -> "histogram"
+              match first.kind with
+              | Kcounter -> "counter"
+              | Kgauge -> "gauge"
+              | Ktimer -> "summary"
             in
             Buffer.add_string buf
               (Printf.sprintf "# HELP %s %s\n" om (om_escape name));
@@ -744,42 +580,24 @@ let openmetrics pairs =
             List.iter
               (fun (lbls, i) ->
                 let l = om_labels lbls in
-                match (first, i) with
-                | Icounter _, Icounter c ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_total%s %d\n" om l (Atomic.get c.c))
-                | Igauge _, Igauge g ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s%s %d\n" om l (Atomic.get g.g))
-                | Itimer _, Itimer t ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_count%s %d\n" om l
-                         (Atomic.get t.spans));
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_sum%s %s\n" om l
-                         (om_float (float_of_int (Atomic.get t.total_ns) /. 1e9)))
-                | Ihist _, Ihist h ->
-                    let n, sum, _, _, buckets = hist_totals h in
-                    let cum = ref 0 in
-                    let top = ref 0 in
-                    Array.iteri (fun i c -> if c > 0 then top := i) buckets;
-                    for i = 0 to !top do
-                      cum := !cum + buckets.(i);
-                      let le = om_float (Float.pow 2. (float_of_int i)) in
+                (* a kind clash across registries skips the sample *)
+                if i.kind = first.kind then
+                  match i.kind with
+                  | Kcounter ->
                       Buffer.add_string buf
-                        (Printf.sprintf "%s_bucket%s %d\n" om
-                           (om_labels (lbls @ [ ("le", le) ]))
-                           !cum)
-                    done;
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_bucket%s %d\n" om
-                         (om_labels (lbls @ [ ("le", "+Inf") ]))
-                         n);
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_sum%s %s\n" om l (om_float sum));
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_count%s %d\n" om l n)
-                | _ -> (* kind clash across registries: skip the sample *) ())
+                        (Printf.sprintf "%s_total%s %d\n" om l
+                           (Atomic.get i.value))
+                  | Kgauge ->
+                      Buffer.add_string buf
+                        (Printf.sprintf "%s%s %d\n" om l (Atomic.get i.value))
+                  | Ktimer ->
+                      Buffer.add_string buf
+                        (Printf.sprintf "%s_count%s %d\n" om l
+                           (Atomic.get i.value));
+                      Buffer.add_string buf
+                        (Printf.sprintf "%s_sum%s %s\n" om l
+                           (om_float
+                              (float_of_int (Atomic.get i.total_ns) /. 1e9))))
               insts
       end)
     names;

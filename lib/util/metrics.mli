@@ -1,5 +1,5 @@
-(** Zero-dependency run metrics: monotonic counters, gauges, span
-    timers and simple log-scale histograms, grouped in registries.
+(** Zero-dependency run metrics: monotonic counters, gauges and span
+    timers, grouped in registries.
 
     Every instrument is identified by a dotted name ([engine.instants],
     [compile.bdd_nodes], ...); the prefix before the first dot is the
@@ -14,10 +14,10 @@
 
     Overhead is an atomic fetch-and-add per event and two monotonic
     {!Clock.now_ns} reads per timed span — safe to leave enabled in
-    benches, and immune to wall-clock (NTP) steps. Counters, gauges
-    and timers are lock-free atomics and histograms shard their
-    accumulators by domain id, so every write path is safe from
-    several domains concurrently. Instrument creation is also
+    benches, and immune to wall-clock (NTP) steps. The three kinds
+    share one representation (a name and two lock-free atomic cells)
+    and one write path, so every write is safe from several domains
+    concurrently. Instrument creation is also
     domain-safe: lookup is lock-free (one atomic load of an immutable
     map), creation takes a short per-registry mutex.
 
@@ -46,7 +46,6 @@ val create : unit -> registry
 type counter
 type gauge
 type timer
-type histogram
 
 val counter : ?registry:registry -> string -> counter
 (** Get or create the monotonic counter [name]. *)
@@ -74,15 +73,6 @@ val time : timer -> (unit -> 'a) -> 'a
 val add_span_ns : timer -> int -> unit
 (** Record one span of a given duration directly. *)
 
-val histogram : ?registry:registry -> string -> histogram
-(** Get or create the histogram [name]: tracks count, sum, min, max and
-    coarse base-2 magnitude buckets of observed values. *)
-
-val observe : histogram -> float -> unit
-(** Record one observation. Domain-safe: observations land in a
-    per-domain shard and are merged at read time, so concurrent
-    [observe] calls never lose events. *)
-
 (** {1 Ambient scope stack}
 
     Low-level hooks used by {!Obs}; most callers should use
@@ -92,6 +82,7 @@ val observe : histogram -> float -> unit
 
 val ambient_push : registry -> unit
 val ambient_pop : unit -> unit
+(** Pop the innermost frame; a no-op on an empty stack. *)
 
 val ambient_stack : unit -> registry list
 (** The calling domain's scope stack, innermost first. *)
@@ -106,7 +97,6 @@ type stat =
   | Counter of int
   | Gauge of int
   | Timer of { spans : int; total_ns : int }
-  | Histogram of { count : int; sum : float; min : float; max : float }
 
 val snapshot : registry -> (string * stat) list
 (** All instruments, sorted by name. *)
@@ -162,9 +152,8 @@ val to_json : registry -> Json.t
 val to_openmetrics : ?labels:(string * string) list -> registry -> string
 (** Prometheus/OpenMetrics text exposition of one registry. Dotted
     names are sanitized to [[a-zA-Z0-9_:]] families; counters expose a
-    [_total] sample, timers a [summary] ([_count] + [_sum] in
-    seconds), histograms cumulative power-of-two [le] buckets plus
-    [_sum]/[_count]. [labels] (e.g. [[("scope", "req-1")]]) ride on
+    [_total] sample, gauges their level, timers a [summary]
+    ([_count] + [_sum] in seconds). [labels] (e.g. [[("scope", "req-1")]]) ride on
     every sample; label values are escaped per the spec. The document
     ends with [# EOF]. *)
 

@@ -4,7 +4,8 @@
    every instrumented library attributes to the scope with zero
    call-site change; [capture]/[run_with] move the whole ambient state
    across Domain_pool so parallel workers attribute and parent
-   correctly. *)
+   correctly. The flight-recorder snapshot serializes Tracing's own
+   events with Tracing's argument serializer. *)
 
 type scope = {
   sc_label : string;
@@ -101,29 +102,28 @@ let to_openmetrics () =
 
 module J = Metrics.Json
 
-let json_of_arg = function
-  | Tracing.Abool b -> J.Bool b
-  | Tracing.Aint n -> J.Int n
-  | Tracing.Afloat f -> J.Float f
-  | Tracing.Astr s -> J.String s
-
-let fkind_name = function
-  | Tracing.Fspan_begin -> "span_begin"
-  | Tracing.Fspan_end -> "span_end"
-  | Tracing.Finstant -> "instant"
-  | Tracing.Fdiag -> "diag"
-
-let json_of_fevent (e : Tracing.fevent) =
+let event_json ts_ns kind name cat args =
   J.Obj
-    ([ ("ts_ns", J.Int e.f_ts_ns);
-       ("kind", J.String (fkind_name e.f_kind));
-       ("name", J.String e.f_name);
-       ("cat", J.String e.f_cat) ]
-    @
-    if e.f_args = [] then []
-    else
-      [ ( "args",
-          J.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) e.f_args) ) ])
+    ([ ("ts_ns", J.Int ts_ns);
+       ("kind", J.String kind);
+       ("name", J.String name);
+       ("cat", J.String cat) ]
+    @ Tracing.json_args args)
+
+(* the ring holds only what [with_span], [instant] and [flight_diag]
+   record; lane events never reach it *)
+let flight_json : Tracing.event -> J.t option = function
+  | Begin { name; cat; ts_ns; args; _ } ->
+      Some (event_json ts_ns "span_begin" name cat args)
+  | End { name; cat; ts_ns } -> Some (event_json ts_ns "span_end" name cat [])
+  | Inst { name; cat; ts_ns; args } ->
+      Some (event_json ts_ns "instant" name cat args)
+  | Diag { code; severity; message; ts_ns } ->
+      Some
+        (event_json ts_ns "diag" code "diag"
+           [ ("severity", Tracing.Astr severity);
+             ("message", Tracing.Astr message) ])
+  | Lane_span _ | Lane_inst _ -> None
 
 let dump_flight_recorder () =
   J.Obj
@@ -136,7 +136,7 @@ let dump_flight_recorder () =
                J.Obj
                  [ ("domain", J.Int dom);
                    ("dropped", J.Int dropped);
-                   ("events", J.Arr (List.map json_of_fevent evs)) ])
+                   ("events", J.Arr (List.filter_map flight_json evs)) ])
              (Tracing.flight_events ())) ) ]
 
 let flight_recorder_to_string () = J.to_string (dump_flight_recorder ())

@@ -14,7 +14,11 @@
     Scopes are keyed by label and retained for the process lifetime so
     {!to_openmetrics} can report a scope after its request completed;
     entering the same label twice (e.g. [Pipeline.analyze] then
-    [simulate] of one session) accumulates into one registry. *)
+    [simulate] of one session) accumulates into one registry.
+
+    The consumers at the end render what the lower layers record:
+    OpenMetrics from {!Metrics}, and the flight-recorder snapshot from
+    the same {!Tracing.event} log that backs the trace. *)
 
 type scope
 
@@ -63,10 +67,13 @@ val to_openmetrics : unit -> string
     once. *)
 
 val dump_flight_recorder : unit -> Metrics.Json.t
-(** Snapshot of the always-on flight recorder as a
-    [polychrony-flight/v1] JSON object: per-domain rings of the most
-    recent span/instant/diag events with overwrite counts. Attached
-    automatically to [--format json] error output by the CLI. *)
+(** Snapshot of the always-on flight recorder
+    ({!Tracing.flight_events}) as a [polychrony-flight/v1] JSON object:
+    per-domain rings of the most recent span/instant/diag events with
+    overwrite counts. Each event is [ts_ns], [kind] ([span_begin],
+    [span_end], [instant] or [diag]), [name], [cat] and, when present,
+    [args] serialized by {!Tracing.json_args}. Attached automatically
+    to [--format json] error output by the CLI. *)
 
 val flight_recorder_to_string : unit -> string
 (** {!dump_flight_recorder} rendered as compact JSON. *)

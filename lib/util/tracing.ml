@@ -1,9 +1,10 @@
-(* Per-domain event buffers behind one atomic enabled flag. The
-   recording side is wait-free: a domain only ever appends to its own
-   buffer (discovered through domain-local storage), so explorer
-   workers can emit spans concurrently with the main domain. The
-   reading side (export, reset) walks every buffer and is only called
-   once parallel sections have joined. *)
+(* One event type and one per-domain log. Each domain owns a record
+   (found through one DLS key) holding its trace buffer, its flight
+   ring and its open-span context. The recording side is wait-free: a
+   domain only ever appends to its own record, so explorer workers can
+   emit spans concurrently with the main domain. The reading side
+   (export, reset, flight snapshot) walks every record and is only
+   called once parallel sections have joined. *)
 
 type arg =
   | Abool of bool
@@ -20,11 +21,12 @@ type event =
                        domain when the span was submitted through
                        Domain_pool under an observation scope *)
     }
-  | End of { ts_ns : int }
+  | End of { name : string; cat : string; ts_ns : int }
   | Inst of {
       name : string; cat : string; ts_ns : int;
       args : (string * arg) list;
     }
+  | Diag of { code : string; severity : string; message : string; ts_ns : int }
   | Lane_span of {
       lane : string; name : string; cat : string;
       ts_us : int; dur_us : int; args : (string * arg) list;
@@ -38,45 +40,67 @@ let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
-type buffer = {
+let dummy_event = End { name = ""; cat = ""; ts_ns = 0 }
+
+(* Always-on bounded ring of the most recent span/instant/diag events:
+   the writer stores into its own domain's ring, so recording is
+   race-free and costs one array store; older events are overwritten
+   once the ring is full. A snapshot ([flight_events]) is what gets
+   attached to JSON error output so a failed run explains itself
+   without re-running under --trace. *)
+let flight_capacity = 256
+
+type log = {
   dom : int;
-  mutable evs : event array;
+  mutable evs : event array; (* trace buffer, grown on first push *)
   mutable len : int;
+  ring : event array; (* flight ring *)
+  mutable written : int; (* total events ever recorded in the ring *)
+  mutable open_spans : int list; (* span context, innermost first *)
+  mutable base : int; (* parent installed by [with_context] *)
 }
 
-let dummy_event = End { ts_ns = 0 }
-
-(* every buffer ever created, so events survive their domain's death
+(* every log ever created, so events survive their domain's death
    (explorer pools are shut down before export) *)
-let buffers : buffer list ref = ref []
-let buffers_lock = Mutex.create ()
+let logs : log list ref = ref []
+let logs_lock = Mutex.create ()
 
-let dls_key =
+let dls_log =
   Domain.DLS.new_key (fun () ->
-      let b =
-        { dom = (Domain.self () :> int);
-          evs = Array.make 256 dummy_event; len = 0 }
+      let l =
+        { dom = (Domain.self () :> int); evs = [||]; len = 0;
+          ring = Array.make flight_capacity dummy_event; written = 0;
+          open_spans = []; base = 0 }
       in
-      Mutex.lock buffers_lock;
-      buffers := b :: !buffers;
-      Mutex.unlock buffers_lock;
-      b)
+      Mutex.protect logs_lock (fun () -> logs := l :: !logs);
+      l)
 
-let push ev =
-  let b = Domain.DLS.get dls_key in
-  let cap = Array.length b.evs in
-  if b.len = cap then begin
-    let evs = Array.make (2 * cap) dummy_event in
-    Array.blit b.evs 0 evs 0 cap;
-    b.evs <- evs
+let all_logs () =
+  Mutex.protect logs_lock (fun () -> !logs)
+  |> List.sort (fun a b -> compare a.dom b.dom)
+
+let push l ev =
+  let cap = Array.length l.evs in
+  if l.len = cap then begin
+    let evs = Array.make (max 256 (2 * cap)) dummy_event in
+    Array.blit l.evs 0 evs 0 cap;
+    l.evs <- evs
   end;
-  b.evs.(b.len) <- ev;
-  b.len <- b.len + 1
+  l.evs.(l.len) <- ev;
+  l.len <- l.len + 1
 
-let reset () =
-  Mutex.lock buffers_lock;
-  List.iter (fun b -> b.len <- 0) !buffers;
-  Mutex.unlock buffers_lock
+let record l ev =
+  l.ring.(l.written mod flight_capacity) <- ev;
+  l.written <- l.written + 1
+
+let reset () = List.iter (fun l -> l.len <- 0) (all_logs ())
+
+let flight_reset () =
+  List.iter
+    (fun l ->
+      Array.fill l.ring 0 flight_capacity dummy_event;
+      l.written <- 0)
+    (all_logs ())
 
 (* ------------------------------------------------------------------ *)
 (* Span identity and cross-domain parenting                            *)
@@ -88,173 +112,92 @@ let reset () =
    inherits from the submitting domain. *)
 let span_seq = Atomic.make 0
 
-type dctx = { mutable open_spans : int list; mutable base : int }
-
-let dls_ctx = Domain.DLS.new_key (fun () -> { open_spans = []; base = 0 })
-
 type context = int
 
 let no_context : context = 0
 
-let current_context () =
-  let d = Domain.DLS.get dls_ctx in
-  match d.open_spans with id :: _ -> id | [] -> d.base
+let parent_of l = match l.open_spans with id :: _ -> id | [] -> l.base
+let current_context () = parent_of (Domain.DLS.get dls_log)
 
 let with_context ctx f =
-  let d = Domain.DLS.get dls_ctx in
-  let saved_base = d.base and saved_stack = d.open_spans in
-  d.base <- ctx;
-  d.open_spans <- [];
+  let l = Domain.DLS.get dls_log in
+  let saved_base = l.base and saved_stack = l.open_spans in
+  l.base <- ctx;
+  l.open_spans <- [];
   Fun.protect
     ~finally:(fun () ->
-      let d = Domain.DLS.get dls_ctx in
-      d.base <- saved_base;
-      d.open_spans <- saved_stack)
+      l.base <- saved_base;
+      l.open_spans <- saved_stack)
     f
-
-(* ------------------------------------------------------------------ *)
-(* Flight recorder                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Always-on bounded ring of the most recent span/instant/diag events,
-   one ring per domain. The writer only touches its own ring (found
-   through DLS), so recording is race-free and costs one array store;
-   older events are overwritten once the ring is full. A snapshot
-   ([flight_events]) is what gets attached to JSON error output so a
-   failed run explains itself without re-running under --trace. *)
-
-type fkind = Fspan_begin | Fspan_end | Finstant | Fdiag
-
-type fevent = {
-  f_ts_ns : int;
-  f_kind : fkind;
-  f_name : string;
-  f_cat : string;
-  f_args : (string * arg) list;
-}
-
-let flight_capacity = 256
-let flight_flag = Atomic.make true
-let set_flight_enabled b = Atomic.set flight_flag b
-let flight_enabled () = Atomic.get flight_flag
-
-type fring = {
-  f_dom : int;
-  slots : fevent option array;
-  mutable written : int; (* total events ever recorded on this domain *)
-}
-
-let frings : fring list ref = ref []
-let frings_lock = Mutex.create ()
-
-let dls_fring =
-  Domain.DLS.new_key (fun () ->
-      let r =
-        { f_dom = (Domain.self () :> int);
-          slots = Array.make flight_capacity None; written = 0 }
-      in
-      Mutex.lock frings_lock;
-      frings := r :: !frings;
-      Mutex.unlock frings_lock;
-      r)
-
-let flight_record f_kind f_name f_cat f_args =
-  if Atomic.get flight_flag then begin
-    let r = Domain.DLS.get dls_fring in
-    r.slots.(r.written mod flight_capacity) <-
-      Some { f_ts_ns = Clock.now_ns (); f_kind; f_name; f_cat; f_args };
-    r.written <- r.written + 1
-  end
-
-let flight_events () =
-  Mutex.lock frings_lock;
-  let rings = !frings in
-  Mutex.unlock frings_lock;
-  List.sort (fun a b -> compare a.f_dom b.f_dom) rings
-  |> List.filter_map (fun r ->
-         if r.written = 0 then None
-         else begin
-           let kept = min r.written flight_capacity in
-           let first = r.written - kept in
-           let evs = ref [] in
-           for i = r.written - 1 downto first do
-             match r.slots.(i mod flight_capacity) with
-             | Some e -> evs := e :: !evs
-             | None -> ()
-           done;
-           Some (r.f_dom, first, !evs)
-         end)
-
-let flight_reset () =
-  Mutex.lock frings_lock;
-  List.iter
-    (fun r ->
-      Array.fill r.slots 0 flight_capacity None;
-      r.written <- 0)
-    !frings;
-  Mutex.unlock frings_lock
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let with_span ?(cat = "toolchain") ?args name f =
-  let args = match args with Some a -> a | None -> [] in
-  flight_record Fspan_begin name cat args;
-  if not (Atomic.get enabled_flag) then
-    if Atomic.get flight_flag then
-      Fun.protect
-        ~finally:(fun () -> flight_record Fspan_end name cat [])
-        f
-    else f ()
-  else begin
-    let d = Domain.DLS.get dls_ctx in
-    let id = 1 + Atomic.fetch_and_add span_seq 1 in
-    let parent = match d.open_spans with p :: _ -> p | [] -> d.base in
-    push (Begin { name; cat; ts_ns = Clock.now_ns (); args; id; parent });
-    d.open_spans <- id :: d.open_spans;
-    Fun.protect
-      ~finally:(fun () ->
-        let d = Domain.DLS.get dls_ctx in
-        (match d.open_spans with _ :: rest -> d.open_spans <- rest | [] -> ());
-        flight_record Fspan_end name cat [];
-        push (End { ts_ns = Clock.now_ns () }))
-      f
-  end
+(* Each event is built once and stored in the flight ring, and also in
+   the trace buffer when tracing is on. Whether a span is traced is
+   decided when it opens, so its End lands wherever its Begin did. *)
+let with_span ?(cat = "toolchain") ?(args = []) name f =
+  let l = Domain.DLS.get dls_log in
+  let traced = Atomic.get enabled_flag in
+  let id = if traced then 1 + Atomic.fetch_and_add span_seq 1 else 0 in
+  let parent = if traced then parent_of l else 0 in
+  let b = Begin { name; cat; ts_ns = Clock.now_ns (); args; id; parent } in
+  record l b;
+  if traced then begin
+    push l b;
+    l.open_spans <- id :: l.open_spans
+  end;
+  Fun.protect
+    ~finally:(fun () ->
+      let e = End { name; cat; ts_ns = Clock.now_ns () } in
+      record l e;
+      if traced then begin
+        (match l.open_spans with _ :: rest -> l.open_spans <- rest | [] -> ());
+        push l e
+      end)
+    f
 
-let instant ?(cat = "toolchain") ?args name =
-  let args = match args with Some a -> a | None -> [] in
-  flight_record Finstant name cat args;
-  if Atomic.get enabled_flag then
-    push (Inst { name; cat; ts_ns = Clock.now_ns (); args })
+let instant ?(cat = "toolchain") ?(args = []) name =
+  let l = Domain.DLS.get dls_log in
+  let ev = Inst { name; cat; ts_ns = Clock.now_ns (); args } in
+  record l ev;
+  if Atomic.get enabled_flag then push l ev
 
 (* diagnostics feed the flight recorder (never the trace buffers: diag
    emission must not depend on tracing being enabled) *)
 let flight_diag ~severity ~code message =
-  flight_record Fdiag code "diag"
-    [ ("severity", Astr severity); ("message", Astr message) ]
+  record (Domain.DLS.get dls_log)
+    (Diag { code; severity; message; ts_ns = Clock.now_ns () })
 
-let lane_span ~lane ?(cat = "schedule") ?args ~ts_us ~dur_us name =
+let lane_span ~lane ?(cat = "schedule") ?(args = []) ~ts_us ~dur_us name =
   if Atomic.get enabled_flag then
-    push
-      (Lane_span
-         { lane; name; cat; ts_us; dur_us;
-           args = Option.value ~default:[] args })
+    push (Domain.DLS.get dls_log)
+      (Lane_span { lane; name; cat; ts_us; dur_us; args })
 
-let lane_instant ~lane ?(cat = "schedule") ?args ~ts_us name =
+let lane_instant ~lane ?(cat = "schedule") ?(args = []) ~ts_us name =
   if Atomic.get enabled_flag then
-    push
-      (Lane_inst
-         { lane; name; cat; ts_us; args = Option.value ~default:[] args })
+    push (Domain.DLS.get dls_log) (Lane_inst { lane; name; cat; ts_us; args })
 
 let events () =
-  Mutex.lock buffers_lock;
-  let bufs = !buffers in
-  Mutex.unlock buffers_lock;
-  List.sort (fun a b -> compare a.dom b.dom) bufs
-  |> List.filter_map (fun b ->
-         if b.len = 0 then None
-         else Some (b.dom, Array.to_list (Array.sub b.evs 0 b.len)))
+  List.filter_map
+    (fun l ->
+      if l.len = 0 then None
+      else Some (l.dom, Array.to_list (Array.sub l.evs 0 l.len)))
+    (all_logs ())
+
+let flight_events () =
+  List.filter_map
+    (fun l ->
+      if l.written = 0 then None
+      else begin
+        let kept = min l.written flight_capacity in
+        let first = l.written - kept in
+        Some
+          ( l.dom, first,
+            List.init kept (fun k -> l.ring.((first + k) mod flight_capacity)) )
+      end)
+    (all_logs ())
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event sink                                             *)
@@ -288,7 +231,7 @@ let chrome_events () =
           (fun acc ev ->
             match ev with
             | Begin { ts_ns; _ } | Inst { ts_ns; _ } -> min acc ts_ns
-            | End _ | Lane_span _ | Lane_inst _ -> acc)
+            | End _ | Diag _ | Lane_span _ | Lane_inst _ -> acc)
           acc evs)
       max_int per_domain
   in
@@ -318,9 +261,9 @@ let chrome_events () =
         List.fold_left
           (fun acc ev ->
             match ev with
-            | Begin { ts_ns; _ } | Inst { ts_ns; _ } | End { ts_ns } ->
+            | Begin { ts_ns; _ } | Inst { ts_ns; _ } | End { ts_ns; _ } ->
               max acc ts_ns
-            | Lane_span _ | Lane_inst _ -> acc)
+            | Diag _ | Lane_span _ | Lane_inst _ -> acc)
           t0 evs
       in
       let stack = ref [] in
@@ -340,7 +283,7 @@ let chrome_events () =
           | Begin { name; cat; ts_ns; args; id; parent } ->
             hosted := true;
             stack := (name, cat, ts_ns, id_args id parent args) :: !stack
-          | End { ts_ns } -> (
+          | End { ts_ns; _ } -> (
             match !stack with
             | [] -> ()
             | (name, cat, b_ts, args) :: rest ->
@@ -388,7 +331,8 @@ let chrome_events () =
                     ("ts", J.Int ts_us);
                     ("pid", J.Int sched_pid);
                     ("tid", J.Int (lane_tid lane)) ]
-                 @ json_args args)))
+                 @ json_args args))
+          | Diag _ -> (* flight ring only *) ())
         evs;
       (* close any still-open spans so the export is always well-formed *)
       List.iter
@@ -493,7 +437,7 @@ let to_text () =
           else
             match arr.(j) with
             | Begin _ -> go (j + 1) (d + 1)
-            | End { ts_ns } -> if d = 0 then Some ts_ns else go (j + 1) (d - 1)
+            | End { ts_ns; _ } -> if d = 0 then Some ts_ns else go (j + 1) (d - 1)
             | _ -> go (j + 1) d
         in
         go (i + 1) 0
@@ -512,6 +456,7 @@ let to_text () =
               name pp_dur_ns dur pp_args args;
             incr depth
           | End _ -> if !depth > 0 then decr depth
+          | Diag _ -> ()
           | Inst { name; args; _ } ->
             Format.fprintf ppf "%s@%s%a@."
               (String.make (2 * (!depth + 1)) ' ')

@@ -17,11 +17,13 @@
       the paper's scheduling timeline (dispatch, input freeze, compute,
       output send, deadline) reconstructed from an actual simulation.
 
-    Tracing is globally off by default. Every emitting entry point
-    first reads one atomic flag and returns immediately when disabled
-    (an always-on bounded {{!section-flight}flight recorder} still
-    keeps the most recent events), so instrumented hot paths cost one
-    load per flag and no unbounded allocation. Recording is
+    Both tracks and the always-on {{!section-flight}flight recorder}
+    share one {!event} type and one per-domain log: {!with_span} and
+    {!instant} build each event once, store it in the domain's bounded
+    flight ring, and also append it to the trace buffer when tracing
+    is on. Tracing is globally off by default; then every emitting
+    entry point reads one atomic flag and records only into the ring,
+    so instrumented hot paths cost no unbounded allocation. Recording is
     multi-domain-safe; {!export}, {!events} and {!reset} must not race
     with emitting domains (collect after the parallel section joins,
     as {!Domain_pool.run_tasks} does). *)
@@ -96,11 +98,15 @@ type event =
       parent : int; (** parent span id, 0 = root; possibly recorded on
                         another domain *)
     }
-  | End of { ts_ns : int }
+  | End of { name : string; cat : string; ts_ns : int }
+      (** closes the innermost open [Begin] of the same domain *)
   | Inst of {
       name : string; cat : string; ts_ns : int;
       args : (string * arg) list;
     }
+  | Diag of { code : string; severity : string; message : string; ts_ns : int }
+      (** a diagnostic; recorded in the flight ring only, never in the
+          trace *)
   | Lane_span of {
       lane : string; name : string; cat : string;
       ts_us : int; dur_us : int; args : (string * arg) list;
@@ -114,6 +120,11 @@ val events : unit -> (int * event list) list
 (** Recorded events per domain, domains in ascending id order, events
     in emission order. [Begin]/[End] pairs nest within a domain. The
     structured view the tests and the golden snapshot consume. *)
+
+val json_args : (string * arg) list -> (string * Metrics.Json.t) list
+(** The ["args"] member of a JSON event object ([[]] when there are no
+    args): the one argument serializer behind {!to_chrome} and the
+    flight-recorder snapshot. *)
 
 val to_chrome : unit -> string
 (** The whole trace as a Chrome trace-event JSON document:
@@ -134,36 +145,22 @@ val write : format:[ `Chrome | `Text ] -> string -> unit
 
 (** {1:flight Flight recorder}
 
-    A bounded ring of the most recent span/instant/diagnostic events,
-    one ring per domain, on by default even when tracing is disabled.
-    Each domain writes only its own ring (no locks, one array store
-    per event); once full, the oldest events are overwritten. The
-    snapshot is attached to [--format json] error output so a failed
-    run carries its own recent history. *)
-
-type fkind = Fspan_begin | Fspan_end | Finstant | Fdiag
-
-type fevent = {
-  f_ts_ns : int;
-  f_kind : fkind;
-  f_name : string;
-  f_cat : string;
-  f_args : (string * arg) list;
-}
+    A bounded view of the same event log: the most recent
+    [Begin]/[End]/[Inst]/[Diag] events, one ring per domain, always
+    on even when tracing is disabled. Each domain writes only its own
+    ring (no locks, one array store per event); once full, the oldest
+    events are overwritten. The snapshot is attached to
+    [--format json] error output so a failed run carries its own
+    recent history. *)
 
 val flight_capacity : int
 (** Ring size per domain (events kept before overwrite). *)
 
-val set_flight_enabled : bool -> unit
-(** Turn the recorder off (or back on); it starts enabled. *)
-
-val flight_enabled : unit -> bool
-
 val flight_diag : severity:string -> code:string -> string -> unit
-(** Record a diagnostic event (called by {!Diag} on every diagnostic,
-    so the recorder sees errors even with tracing disabled). *)
+(** Record a [Diag] event (called by {!Diag} on every diagnostic, so
+    the recorder sees errors even with tracing disabled). *)
 
-val flight_events : unit -> (int * int * fevent list) list
+val flight_events : unit -> (int * int * event list) list
 (** Per-domain snapshot [(domain, dropped, events)]: [dropped] is how
     many older events were overwritten, [events] the surviving ring
     contents in emission order. Domains in ascending id order. *)

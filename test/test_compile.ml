@@ -342,7 +342,8 @@ let test_memoized_instances_independent () =
   let kp = N.process_exn p in
   let c1 = Result.get_ok (Compile.compile kp) in
   let c2 = Result.get_ok (Compile.compile kp) in
-  let d0 = Compile.state_digest c2 in
+  let kb = Compile.keybuf () in
+  let d0 = Compile.state_key c2 kb in
   let step c =
     match step_named c [ [ ("e", ve) ] ] with
     | Ok () -> List.assoc_opt "n" (Compile.present_assoc c)
@@ -351,7 +352,7 @@ let test_memoized_instances_independent () =
   Alcotest.(check bool) "c1 counts 1" true (step c1 = Some (vi 1));
   Alcotest.(check bool) "c1 counts 2" true (step c1 = Some (vi 2));
   Alcotest.(check string) "c2 state untouched by c1" d0
-    (Compile.state_digest c2);
+    (Compile.state_key c2 kb);
   Alcotest.(check bool) "c2 starts fresh" true (step c2 = Some (vi 1));
   Alcotest.(check bool) "c1 keeps its own count" true (step c1 = Some (vi 3));
   (* the uncached path agrees with the memoized one *)

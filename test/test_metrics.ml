@@ -43,18 +43,6 @@ let test_gauges_and_timers () =
   | _ -> Alcotest.fail "kind mismatch accepted"
   | exception Invalid_argument _ -> ()
 
-let test_histogram () =
-  let r = M.create () in
-  let h = M.histogram ~registry:r "t.sizes" in
-  List.iter (M.observe h) [ 1.0; 4.0; 16.0 ];
-  match M.find r "t.sizes" with
-  | Some (M.Histogram { count; sum; min; max }) ->
-    Alcotest.(check int) "count" 3 count;
-    Alcotest.(check (float 1e-9)) "sum" 21.0 sum;
-    Alcotest.(check (float 1e-9)) "min" 1.0 min;
-    Alcotest.(check (float 1e-9)) "max" 16.0 max
-  | _ -> Alcotest.fail "histogram stat missing"
-
 (* minimal RFC 8259 well-formedness checker, enough to validate our own
    serializer's output without an external JSON dependency *)
 let json_well_formed s =
@@ -175,7 +163,6 @@ let test_json_well_formed () =
   M.incr (M.counter ~registry:r "a.count");
   M.set (M.gauge ~registry:r "a.level") (-3);
   M.add_span_ns (M.timer ~registry:r "a.span_ns") 500;
-  M.observe (M.histogram ~registry:r "a.h") 2.5;
   let s = M.Json.to_string (M.to_json r) in
   Alcotest.(check bool) "registry JSON is well-formed" true (json_well_formed s);
   (* tricky leaves: escapes, non-finite floats as null *)
@@ -187,7 +174,28 @@ let test_json_well_formed () =
         ("arr", M.Json.Arr [ M.Json.Bool true; M.Json.Null; M.Json.Int (-7) ]) ]
   in
   Alcotest.(check bool) "escapes and non-finite floats" true
-    (json_well_formed (M.Json.to_string tricky))
+    (json_well_formed (M.Json.to_string tricky));
+  (* the parser reports malformed input as [Error], never raises *)
+  List.iter
+    (fun src ->
+      match M.Json.of_string src with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted malformed %S" src)
+    [ "\"\\uZZZZ\""; "\"\\u12\""; "\"\\u1_23\"" ];
+  Alcotest.(check bool) "well-formed \\u escape" true
+    (M.Json.of_string "\"\\u0041\\u00e9\"" = Ok (M.Json.String "A\xc3\xa9"))
+
+(* A pop of an empty scope stack must not disturb the process-wide
+   count of active frames: a scope pushed afterwards still gets its
+   writes. *)
+let test_stray_ambient_pop () =
+  let r = M.create () in
+  M.ambient_pop ();
+  M.ambient_push r;
+  Fun.protect ~finally:M.ambient_pop (fun () ->
+      M.incr (M.counter "metrics.stray_pop"));
+  Alcotest.(check int) "scope sees the write" 1
+    (M.counter_value r "metrics.stray_pop")
 
 (* a full pipeline run must light up every instrumented subsystem in
    the global registry — this is what `asme2ssme simulate --stats` and
@@ -237,28 +245,30 @@ let test_pipeline_feeds_global () =
 
 (* ---------------- domain safety ------------------------------------ *)
 
-(* 4 domains hammer one histogram: the sharded accumulator must lose no
-   observation and keep an exact sum (each domain observes 1..per_dom) *)
-let test_histogram_domain_stress () =
+(* 4 domains hammer one timer and one gauge: the two-cell timer must
+   lose no span and keep an exact total, the gauge's CAS loop must keep
+   the exact max (each domain writes 1..per_dom) *)
+let test_timer_gauge_domain_stress () =
   let r = M.create () in
-  let h = M.histogram ~registry:r "t.stress" in
+  let t = M.timer ~registry:r "t.stress_ns" in
+  let g = M.gauge ~registry:r "t.stress_max" in
   let domains = 4 and per_dom = 10_000 in
   let work () =
     for i = 1 to per_dom do
-      M.observe h (float_of_int i)
+      M.add_span_ns t i;
+      M.max_gauge g i
     done
   in
   let ds = List.init domains (fun _ -> Domain.spawn work) in
   List.iter Domain.join ds;
-  match M.find r "t.stress" with
-  | Some (M.Histogram { count; sum; min; max }) ->
-    Alcotest.(check int) "no observation lost" (domains * per_dom) count;
-    Alcotest.(check (float 1e-6)) "exact sum"
-      (float_of_int domains *. float_of_int (per_dom * (per_dom + 1) / 2))
-      sum;
-    Alcotest.(check (float 1e-9)) "min" 1.0 min;
-    Alcotest.(check (float 1e-9)) "max" (float_of_int per_dom) max
-  | _ -> Alcotest.fail "histogram stat missing"
+  (match M.find r "t.stress_ns" with
+   | Some (M.Timer { spans; total_ns }) ->
+     Alcotest.(check int) "no span lost" (domains * per_dom) spans;
+     Alcotest.(check int) "exact total"
+       (domains * (per_dom * (per_dom + 1) / 2))
+       total_ns
+   | _ -> Alcotest.fail "timer stat missing");
+  Alcotest.(check int) "exact max" per_dom (M.counter_value r "t.stress_max")
 
 (* 4 domains race get-or-create over the same names while incrementing:
    every domain must end up on the same cell (no lost updates, no
@@ -291,8 +301,6 @@ let test_openmetrics_golden () =
   M.incr ~by:42 (M.counter ~registry:r "om.hits");
   M.set (M.gauge ~registry:r "om.level") (-3);
   M.add_span_ns (M.timer ~registry:r "om.work_ns") 2_500_000_000;
-  let h = M.histogram ~registry:r "om.sizes" in
-  List.iter (M.observe h) [ 0.5; 3.0; 3.5 ];
   let expected =
     String.concat ""
       [ "# HELP om_hits om.hits\n";
@@ -301,14 +309,6 @@ let test_openmetrics_golden () =
         "# HELP om_level om.level\n";
         "# TYPE om_level gauge\n";
         "om_level{scope=\"s \\\"x\\\"\"} -3\n";
-        "# HELP om_sizes om.sizes\n";
-        "# TYPE om_sizes histogram\n";
-        "om_sizes_bucket{scope=\"s \\\"x\\\"\",le=\"1\"} 1\n";
-        "om_sizes_bucket{scope=\"s \\\"x\\\"\",le=\"2\"} 1\n";
-        "om_sizes_bucket{scope=\"s \\\"x\\\"\",le=\"4\"} 3\n";
-        "om_sizes_bucket{scope=\"s \\\"x\\\"\",le=\"+Inf\"} 3\n";
-        "om_sizes_sum{scope=\"s \\\"x\\\"\"} 7\n";
-        "om_sizes_count{scope=\"s \\\"x\\\"\"} 3\n";
         "# HELP om_work_ns om.work_ns\n";
         "# TYPE om_work_ns summary\n";
         "om_work_ns_count{scope=\"s \\\"x\\\"\"} 1\n";
@@ -320,7 +320,7 @@ let test_openmetrics_golden () =
 
 (* property: whatever the instrument names, the exposition is
    well-formed — sanitized name charset, one # TYPE per family,
-   monotone cumulative buckets, # EOF terminator *)
+   # EOF terminator *)
 let om_name_ok name =
   name <> ""
   && (match name.[0] with
@@ -378,14 +378,10 @@ let qcheck_openmetrics =
       let r = M.create () in
       List.iteri
         (fun i name ->
-          match i mod 4 with
+          match i mod 3 with
           | 0 -> M.incr ~by:i (M.counter ~registry:r name)
           | 1 -> M.set (M.gauge ~registry:r name) i
-          | 2 -> M.add_span_ns (M.timer ~registry:r name) (i * 1000)
-          | _ ->
-            let h = M.histogram ~registry:r name in
-            M.observe h (float_of_int i);
-            M.observe h (float_of_int (i * 100)))
+          | _ -> M.add_span_ns (M.timer ~registry:r name) (i * 1000))
         names;
       let text = M.to_openmetrics ~labels:[ ("q", "v\"\\\n") ] r in
       (* each family declared exactly once *)
@@ -398,47 +394,17 @@ let qcheck_openmetrics =
       = List.length type_lines
       && exposition_well_formed text)
 
-(* cumulative histogram buckets never decrease and end at the count *)
-let test_openmetrics_bucket_monotone () =
-  let r = M.create () in
-  let h = M.histogram ~registry:r "om.mono" in
-  List.iter (M.observe h) [ 0.1; 1.5; 2.5; 100.0; 100.0; 7.0 ];
-  let text = M.to_openmetrics r in
-  let buckets =
-    List.filter_map
-      (fun line ->
-        if String.length line > 15 && String.sub line 0 15 = "om_mono_bucket{"
-        then
-          match String.rindex_opt line ' ' with
-          | Some i ->
-            int_of_string_opt
-              (String.sub line (i + 1) (String.length line - i - 1))
-          | None -> None
-        else None)
-      (String.split_on_char '\n' text)
-  in
-  Alcotest.(check bool) "at least the +Inf bucket" true (buckets <> []);
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> a <= b && monotone rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "cumulative buckets monotone" true (monotone buckets);
-  Alcotest.(check int) "+Inf bucket equals the count" 6
-    (List.nth buckets (List.length buckets - 1))
-
 let suite =
   [ ("metrics",
      [ Alcotest.test_case "counters" `Quick test_counters;
        Alcotest.test_case "gauges and timers" `Quick test_gauges_and_timers;
-       Alcotest.test_case "histogram" `Quick test_histogram;
        Alcotest.test_case "json well-formed" `Quick test_json_well_formed;
-       Alcotest.test_case "histogram domain stress" `Quick
-         test_histogram_domain_stress;
+       Alcotest.test_case "stray ambient pop" `Quick test_stray_ambient_pop;
+       Alcotest.test_case "timer and gauge domain stress" `Quick
+         test_timer_gauge_domain_stress;
        Alcotest.test_case "instrument creation race" `Quick
          test_creation_race;
        Alcotest.test_case "openmetrics golden" `Quick test_openmetrics_golden;
-       Alcotest.test_case "openmetrics bucket monotone" `Quick
-         test_openmetrics_bucket_monotone;
        QCheck_alcotest.to_alcotest qcheck_openmetrics;
        Alcotest.test_case "pipeline feeds global registry" `Quick
          test_pipeline_feeds_global ]) ]

@@ -33,6 +33,7 @@ let test_span_nesting () =
           | T.Begin { name; _ } -> "B:" ^ name
           | T.End _ -> "E"
           | T.Inst { name; _ } -> "I:" ^ name
+          | T.Diag _ -> "D"
           | T.Lane_span _ -> "LS"
           | T.Lane_inst _ -> "LI")
         evs
@@ -65,6 +66,52 @@ let test_disabled_records_nothing () =
   T.lane_instant ~lane:"l" ~ts_us:0 "off";
   Alcotest.(check bool) "body ran" true !ran;
   Alcotest.(check int) "no events" 0 (List.length (T.events ()))
+
+(* The flight ring is a bounded view of the same event log: with
+   tracing on, its span events are the trace's Begin/End sequence, and
+   a diagnostic lands in the ring but never in the trace or its export. *)
+let test_flight_ring_mirrors_trace () =
+  with_fresh_trace @@ fun () ->
+  T.flight_reset ();
+  T.with_span "outer" (fun () ->
+      T.with_span "inner" ~args:[ ("k", T.Aint 2) ] (fun () ->
+          T.instant "tick");
+      ignore (Putil.Diag.make Putil.Diag.Warning ~code:"FM001" "mirror"));
+  T.set_enabled false;
+  let me = (Domain.self () :> int) in
+  let spans =
+    List.filter_map (function
+      | T.Begin { name; _ } -> Some ("B:" ^ name)
+      | T.End { name; _ } -> Some ("E:" ^ name)
+      | _ -> None)
+  in
+  let is_diag = function T.Diag { code = "FM001"; _ } -> true | _ -> false in
+  let trace =
+    match List.assoc_opt me (T.events ()) with
+    | Some evs -> evs
+    | None -> Alcotest.fail "no trace buffer for the calling domain"
+  in
+  let ring =
+    match List.find_opt (fun (d, _, _) -> d = me) (T.flight_events ()) with
+    | Some (_, _, evs) -> evs
+    | None -> Alcotest.fail "no flight ring for the calling domain"
+  in
+  Alcotest.(check (list string)) "trace spans"
+    [ "B:outer"; "B:inner"; "E:inner"; "E:outer" ]
+    (spans trace);
+  Alcotest.(check (list string)) "ring spans equal the trace's"
+    (spans trace) (spans ring);
+  Alcotest.(check bool) "diag in the ring" true (List.exists is_diag ring);
+  Alcotest.(check bool) "diag not in the trace" false
+    (List.exists is_diag (List.concat_map snd (T.events ())));
+  let chrome = T.to_chrome () in
+  Alcotest.(check bool) "diag not in the chrome export" false
+    (let nn = String.length "FM001" in
+     let rec go i =
+       i + nn <= String.length chrome
+       && (String.sub chrome i nn = "FM001" || go (i + 1))
+     in
+     go 0)
 
 (* ---------------- chrome export ------------------------------------ *)
 
@@ -239,7 +286,8 @@ let canonical () =
           | T.Lane_inst { lane; name; ts_us; args; _ } ->
             Buffer.add_string buf
               (Printf.sprintf "lane %s %d %s%s\n" lane ts_us name
-                 (canonical_args args)))
+                 (canonical_args args))
+          | T.Diag _ -> ())
         evs)
     (T.events ());
   Buffer.contents buf
@@ -438,6 +486,8 @@ let suite =
          test_span_closes_on_raise;
        Alcotest.test_case "disabled records nothing" `Quick
          test_disabled_records_nothing;
+       Alcotest.test_case "flight ring mirrors the trace" `Quick
+         test_flight_ring_mirrors_trace;
        Alcotest.test_case "chrome export of the case study" `Quick
          test_chrome_case_study;
        Alcotest.test_case "golden canonical trace" `Quick
