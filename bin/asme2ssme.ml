@@ -310,37 +310,50 @@ let analyze_cmd =
           $ mode_arg $ cache_dir_arg $ format_arg $ profile_arg
           $ stats_arg $ trace_arg $ trace_format_arg)
 
+(* a count below 1 is a usage error rather than a silent empty run *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok k when k < 1 ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %d" k))
+    | r -> r
+  in
+  Arg.conv ~docv:"K" (parse, Arg.conv_printer Arg.int)
+
 let simulate_cmd =
   let hyper_arg =
-    Arg.(value & opt int 2 & info [ "hyperperiods"; "n" ] ~docv:"N"
+    Arg.(value & opt positive_int 2 & info [ "hyperperiods"; "n" ] ~docv:"N"
            ~doc:"Number of hyper-periods to run.")
   in
   let vcd_arg =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"PATH"
            ~doc:"Write the trace as a VCD file.")
   in
-  let compiled_arg =
-    Arg.(value & flag & info [ "compiled" ]
-           ~doc:"Use the clock-directed compiled step instead of the \
-                 fixpoint interpreter.")
-  in
-  (* K < 1 is a usage error rather than a silent single run *)
-  let positive_int =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok k when k < 1 ->
-        Error (`Msg (Printf.sprintf "expected a positive integer, got %d" k))
-      | r -> r
-    in
-    Arg.conv ~docv:"K" (parse, Arg.conv_printer Arg.int)
+  (* neither flag: compiled, falling back on the interpreter only when
+     the plan cannot be built *)
+  let engine_arg =
+    Arg.(value
+         & vflag None
+             [ ( Some true,
+                 info [ "compiled" ]
+                   ~doc:"Run the clock-directed compiled step only; a \
+                         model it cannot compile is an error. Without \
+                         $(b,--compiled) or $(b,--interpreter) the \
+                         compiled step runs and falls back on the \
+                         interpreter only for such a model." );
+               ( Some false,
+                 info [ "interpreter" ]
+                   ~doc:"Run the fixpoint interpreter, the reference \
+                         engine the compiled step is checked against." )
+             ])
   in
   let scenarios_arg =
     Arg.(value & opt positive_int 1 & info [ "scenarios" ] ~docv:"K"
            ~doc:"Run K environment scenarios in lockstep over one \
                  compiled plan (scenario k delays each environment \
                  arrival by k base ticks). Prints the chronogram of \
-                 scenario 0 and a per-scenario summary; implies the \
-                 compiled path.")
+                 scenario 0 and a per-scenario summary; always runs \
+                 the compiled step, whatever the engine flag.")
   in
   let run file root registry policy mode cache_dir hyperperiods vcd
       compiled scenarios stats trace trace_format =
@@ -374,7 +387,7 @@ let simulate_cmd =
         traces.(0)
       end
       else
-        match Polychrony.Pipeline.simulate ~compiled ~hyperperiods a with
+        match Polychrony.Pipeline.simulate ?compiled ~hyperperiods a with
         | Ok tr -> tr
         | Error ds ->
           prerr_string (Putil.Diag.render_list ds);
@@ -395,7 +408,7 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Run the scheduled system and print a chronogram")
     Term.(const run $ file_arg $ root_arg $ registry_arg $ policy_arg
-          $ mode_arg $ cache_dir_arg $ hyper_arg $ vcd_arg $ compiled_arg
+          $ mode_arg $ cache_dir_arg $ hyper_arg $ vcd_arg $ engine_arg
           $ scenarios_arg $ stats_arg $ trace_arg $ trace_format_arg)
 
 let latency_cmd =

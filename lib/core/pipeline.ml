@@ -898,7 +898,9 @@ let stimulus_at_fn a env =
    [horizon] instants of [scenarios] lockstep copies, scenario [s]
    reading its named stimuli from [stimulus_of s]. An unknown stimulus
    name fails through the stepping call like any step error, so both
-   entries report SIM-001 at the instant it happened. *)
+   entries report SIM-001 at the instant it happened. A plan that
+   cannot be built is COMPILE-001, and nothing else is: {!simulate}
+   falls back on that code. *)
 let run_compiled a ~horizon ~scenarios stimulus_of =
   match Polysim.Compile.compile_scenarios a.kernel ~scenarios with
   | Error m ->
@@ -921,13 +923,13 @@ let run_compiled a ~horizon ~scenarios stimulus_of =
     in
     go 0)
 
-let simulate ?(compiled = false) ?env ?(hyperperiods = 2) a =
+let simulate ?compiled ?env ?(hyperperiods = 2) a =
   in_analyzed_scope a @@ fun () ->
   let env = Option.value ~default:(default_env a) env in
   let horizon = base_ticks_per_hyperperiod a * hyperperiods in
   Putil.Tracing.with_span "pipeline.simulate"
     ~args:
-      [ ("compiled", Putil.Tracing.Abool compiled);
+      [ ("compiled", Putil.Tracing.Abool (compiled <> Some false));
         ("horizon_ticks", Putil.Tracing.Aint horizon) ]
   @@ fun () ->
   let gbase = global_base_us a in
@@ -941,26 +943,30 @@ let simulate ?(compiled = false) ?env ?(hyperperiods = 2) a =
         ~tasks:a.translation.Trans.System_trans.tasks tr;
     tr
   in
-  let run step trace =
+  let interpret () =
+    let engine = Polysim.Engine.create a.kernel in
     let rec go t =
-      if t >= horizon then Ok (finish (trace ()))
+      if t >= horizon then Ok (finish (Polysim.Engine.trace engine))
       else
-        match step ~stimulus:(stimulus_at t) with
+        match Polysim.Engine.step engine ~stimulus:(stimulus_at t) with
         | Ok _ -> go (t + 1)
         | Error m ->
-          Error
-            [ Putil.Diag.errorf ~code:code_sim "instant %d: %s" t m ]
+          Error [ Putil.Diag.errorf ~code:code_sim "instant %d: %s" t m ]
     in
     go 0
   in
-  if compiled then
-    Result.map
-      (fun traces -> finish traces.(0))
-      (run_compiled a ~horizon ~scenarios:1 (fun _ -> stimulus_at))
+  if compiled = Some false then interpret ()
   else
-    let engine = Polysim.Engine.create a.kernel in
-    run (fun ~stimulus -> Polysim.Engine.step engine ~stimulus)
-      (fun () -> Polysim.Engine.trace engine)
+    match run_compiled a ~horizon ~scenarios:1 (fun _ -> stimulus_at) with
+    | Ok traces -> Ok (finish traces.(0))
+    | Error [ d ] when compiled = None && d.Putil.Diag.code = code_compile ->
+      (* no plan: the default falls back on the interpreter, counted
+         and marked in the trace *)
+      Putil.Metrics.incr (Putil.Metrics.counter "pipeline.simulate_fallbacks");
+      Putil.Tracing.instant "pipeline.simulate_fallback"
+        ~args:[ ("reason", Putil.Tracing.Astr d.Putil.Diag.message) ];
+      interpret ()
+    | Error _ as e -> e
 
 (* Per-scenario default environment: scenario [s] delays every
    environment arrival by [s] base ticks (mod the horizon), so a sweep
@@ -984,7 +990,12 @@ let simulate_scenarios ?envs ?(hyperperiods = 2) ~scenarios a =
       [ ("scenarios", Putil.Tracing.Aint scenarios);
         ("horizon_ticks", Putil.Tracing.Aint horizon) ]
   @@ fun () ->
-  run_compiled a ~horizon ~scenarios (fun s -> stimulus_at_fn a (envs s))
+  (* a bad argument, not a plan failure: SIM-001, never COMPILE-001 *)
+  if scenarios < 1 then
+    Error
+      [ Putil.Diag.errorf ~code:code_sim "scenarios must be >= 1, got %d"
+          scenarios ]
+  else run_compiled a ~horizon ~scenarios (fun s -> stimulus_at_fn a (envs s))
 
 (* ------------------------------------------------------------------ *)
 (* Bounded verification                                                *)

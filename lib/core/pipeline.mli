@@ -179,9 +179,19 @@ val simulate :
     hyper-periods (default 2). [env] supplies environment-port arrivals
     per instant, e.g. [fun t -> if t = 0 then [("env_pGo", 1)] else []];
     default: one arrival of value 1 on every environment input at
-    instant 0. With [~compiled:true] the clock-directed compiled step
-    ({!Polysim.Compile}) replaces the fixpoint interpreter — same
-    traces, roughly an order of magnitude faster.
+    instant 0.
+
+    The engine is the clock-directed compiled step ({!Polysim.Compile})
+    unless [compiled] says otherwise; the fixpoint interpreter
+    ({!Polysim.Engine}) computes the same traces, an order of magnitude
+    slower, and serves as the differential oracle.
+    - [compiled] omitted: compiled; only when the plan cannot be built
+      (COMPILE-001) does the run fall back on the interpreter, counted
+      in [pipeline.simulate_fallbacks] and marked by a
+      [pipeline.simulate_fallback] trace instant. A step error is
+      SIM-001 from the compiled engine, with no retry.
+    - [~compiled:true]: compiled only; a plan failure is COMPILE-001.
+    - [~compiled:false]: the interpreter only.
 
     Clock analysis and compilation are memoized on the kernel's
     structural digest (see {!Clocks.Calculus.analyze} and
@@ -205,7 +215,8 @@ val simulate_scenarios :
     arrival by [s] base ticks (scenario 0 is the {!simulate} default).
     Returns one trace per scenario — identical to [scenarios]
     independent {!simulate} runs with the same environments, at a
-    fraction of the cost. *)
+    fraction of the cost. [scenarios < 1] is a SIM-001 argument error;
+    a plan that cannot be built is COMPILE-001. *)
 
 val global_base_us : analyzed -> int
 (** Microseconds of one simulated instant: the gcd of every

@@ -163,6 +163,30 @@ let test_unknown_input_same_error () =
     ("SIM-001", "instant 3: stimulus for unknown signal env_nope") single;
   Alcotest.(check (pair string string)) "simulate_scenarios" single lockstep
 
+(* Only a plan failure sends the default engine to the interpreter: a
+   step error stays the compiled engine's SIM-001, and a scenario count
+   below 1 is an argument error, never a COMPILE-001 *)
+let test_default_engine_errors () =
+  let a = analyzed () in
+  let diag = function
+    | Ok _ -> Alcotest.fail "expected a failed simulation"
+    | Error [ d ] -> (d.Putil.Diag.code, d.Putil.Diag.message)
+    | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+  in
+  let fallbacks () =
+    Putil.Metrics.counter_value Putil.Metrics.global
+      "pipeline.simulate_fallbacks"
+  in
+  let before = fallbacks () in
+  let env t = if t = 3 then [ ("env_nope", 1) ] else [] in
+  Alcotest.(check (pair string string)) "step error: default = compiled"
+    (diag (Polychrony.Pipeline.simulate ~compiled:true ~env a))
+    (diag (Polychrony.Pipeline.simulate ~env a));
+  Alcotest.(check int) "no fallback on a step error" before (fallbacks ());
+  Alcotest.(check (pair string string)) "scenarios:0"
+    ("SIM-001", "scenarios must be >= 1, got 0")
+    (diag (Polychrony.Pipeline.simulate_scenarios ~scenarios:0 a))
+
 (* random kernels: batched and lockstep stepping agree with the
    one-instant loop (reusing the clock-consistent generator of
    test_compile) *)
@@ -292,6 +316,8 @@ let suite =
          test_step_many_error_selects_scenario_0;
        Alcotest.test_case "unknown input: one SIM-001 message" `Quick
          test_unknown_input_same_error;
+       Alcotest.test_case "default engine: step and argument errors" `Quick
+         test_default_engine_errors;
        Alcotest.test_case "steady-state allocation flat" `Quick
          test_steady_state_allocation_flat ]
      @ qsuite) ]

@@ -210,7 +210,7 @@ let test_pipeline_feeds_global () =
     | Ok a -> a
     | Error m -> Alcotest.fail (Putil.Diag.list_to_string m)
   in
-  (match Polychrony.Pipeline.simulate ~hyperperiods:1 a with
+  (match Polychrony.Pipeline.simulate ~compiled:false ~hyperperiods:1 a with
    | Ok _ -> ()
    | Error m -> Alcotest.fail (Putil.Diag.list_to_string m));
   (match Polychrony.Pipeline.simulate ~compiled:true ~hyperperiods:1 a with

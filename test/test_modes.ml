@@ -277,7 +277,7 @@ let test_mode_compiled_equivalence () =
   let a = Lazy.force analyzed in
   let env t = if t = 5 then [ ("environment_fault", 1) ] else [] in
   match
-    P.simulate ~env ~hyperperiods:4 a,
+    P.simulate ~compiled:false ~env ~hyperperiods:4 a,
     P.simulate ~compiled:true ~env ~hyperperiods:4 a
   with
   | Ok t1, Ok t2 ->

@@ -89,7 +89,7 @@ let test_all_kinds_and_isolation () =
    simulated in parallel domains record fully disjoint per-scope
    metrics whose sum is exactly the global delta. *)
 let test_concurrent_sessions () =
-  let before = M.counter_value M.global "engine.instants" in
+  let before = M.counter_value M.global "compile.instants" in
   let run label () =
     Printexc.record_backtrace true;
     try
@@ -112,12 +112,12 @@ let test_concurrent_sessions () =
   let r1 = Domain.join d1 and r2 = Domain.join d2 in
   (match r1 with Ok () -> () | Error m -> Alcotest.fail ("session 1: " ^ m));
   (match r2 with Ok () -> () | Error m -> Alcotest.fail ("session 2: " ^ m));
-  let v1 = scope_value "obs-sess-1" "engine.instants" in
-  let v2 = scope_value "obs-sess-2" "engine.instants" in
+  let v1 = scope_value "obs-sess-1" "compile.instants" in
+  let v2 = scope_value "obs-sess-2" "compile.instants" in
   Alcotest.(check bool) "both sessions simulated" true (v1 > 0 && v2 > 0);
   Alcotest.(check int) "identical workloads, identical attribution" v1 v2;
   Alcotest.(check int) "scopes partition the global delta" (v1 + v2)
-    (M.counter_value M.global "engine.instants" - before)
+    (M.counter_value M.global "compile.instants" - before)
 
 (* ---------------- Domain_pool propagation -------------------------- *)
 

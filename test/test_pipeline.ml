@@ -166,6 +166,111 @@ let test_queue_size_bounded () =
   Alcotest.(check bool) "bounded by capacity" true
     (List.for_all (fun s -> s >= 0 && s <= 8) sizes)
 
+(* ---- the default engine against the interpreter oracle ---- *)
+
+let analyze_ok ?registry ?mode src =
+  match P.analyze ?registry ?mode src with
+  | Ok a -> a
+  | Error m -> Alcotest.fail (Putil.Diag.list_to_string m)
+
+let same_as_interpreter ?env ?hyperperiods what a =
+  let run compiled =
+    match P.simulate ?compiled ?env ?hyperperiods a with
+    | Ok tr -> tr
+    | Error m -> Alcotest.failf "%s: %s" what (Putil.Diag.list_to_string m)
+  in
+  Alcotest.(check bool) (what ^ ": default = interpreter") true
+    (Trace.equal (run None) (run (Some false)))
+
+let test_default_equals_interpreter () =
+  let module ST = Trans.System_trans in
+  same_as_interpreter "case study, Embedded"
+    (analyze_ok ~registry:CS.registry_nominal ~mode:ST.Embedded
+       CS.aadl_source);
+  same_as_interpreter "case study, External"
+    (analyze_ok ~registry:CS.registry_nominal ~mode:ST.External
+       CS.aadl_source);
+  same_as_interpreter "producer variant"
+    (analyze_ok ~registry:CS.registry_producer_variant CS.aadl_source);
+  same_as_interpreter "examples/producer_consumer.aadl"
+    (analyze_ok ~registry:CS.registry_nominal
+       (Test_data.read "../examples/producer_consumer.aadl"));
+  (* fault in frame 1, reset in frame 5: both mode transitions fire *)
+  same_as_interpreter ~hyperperiods:10 "moded system"
+    ~env:(fun t ->
+      if t = 5 then [ ("environment_fault", 1) ]
+      else if t = 21 then [ ("environment_reset", 1) ]
+      else [])
+    (Lazy.force Test_modes.analyzed)
+
+(* The smallest model found that analyzes but has no compiled plan:
+   one thread whose behaviour feeds a local back into itself, sampled
+   [when false]. The cycle never fires (the deadlock analysis calls it
+   false), so the interpreter runs it, but the plan builder orders
+   values without consulting clocks and rejects it. *)
+let dead_cycle_src =
+  {|package DeadCycle
+public
+  thread worker
+    properties
+      Dispatch_Protocol => Periodic;
+      Period => 4 ms;
+      Deadline => 4 ms;
+      Compute_Execution_Time => 1 ms;
+  end worker;
+  thread implementation worker.impl end worker.impl;
+  process app end app;
+  process implementation app.impl
+    subcomponents
+      w: thread worker.impl;
+  end app.impl;
+  system rig end rig;
+  system implementation rig.impl
+    subcomponents
+      main: process app.impl;
+  end rig.impl;
+end DeadCycle;
+|}
+
+let dead_cycle_registry =
+  Trans.Behavior.make ~id:"test_pipeline:dead_cycle"
+    [ ("worker",
+       fun ctx ->
+         let x = ctx.Trans.Behavior.fresh_local Types.Tint in
+         Signal_lang.Builder.[ x := when_ (v x + i 1) (b false) ]) ]
+
+let test_compile_fallback () =
+  let a = analyze_ok ~registry:dead_cycle_registry dead_cycle_src in
+  (match P.simulate ~compiled:true a with
+   | Error [ d ] ->
+     Alcotest.(check string) "compiled only: COMPILE-001" "COMPILE-001"
+       d.Putil.Diag.code
+   | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+   | Ok _ -> Alcotest.fail "the plan builder accepted the dead cycle");
+  let fallbacks () =
+    Putil.Metrics.counter_value Putil.Metrics.global
+      "pipeline.simulate_fallbacks"
+  in
+  let before = fallbacks () in
+  Putil.Tracing.flight_reset ();
+  let got = simulate a in
+  Alcotest.(check int) "one fallback counted" (before + 1) (fallbacks ());
+  Alcotest.(check bool) "the fallback is an event of the log" true
+    (List.exists
+       (fun (_, _, evs) ->
+         List.exists
+           (function
+             | Putil.Tracing.Inst { name = "pipeline.simulate_fallback"; _ } ->
+               true
+             | _ -> false)
+           evs)
+       (Putil.Tracing.flight_events ()));
+  match P.simulate ~compiled:false a with
+  | Ok want ->
+    Alcotest.(check bool) "default returns the interpreter's trace" true
+      (Trace.equal got want)
+  | Error m -> Alcotest.fail (Putil.Diag.list_to_string m)
+
 let suite =
   [ ("pipeline.analysis",
      [ Alcotest.test_case "clean analysis" `Quick test_analyze_clean;
@@ -184,4 +289,8 @@ let suite =
          test_dispatch_clock_matches_schedule;
        Alcotest.test_case "VCD output (ref [18])" `Quick test_vcd_output;
        Alcotest.test_case "RM end-to-end" `Quick test_rm_policy_end_to_end;
-       Alcotest.test_case "queue bounded" `Quick test_queue_size_bounded ]) ]
+       Alcotest.test_case "queue bounded" `Quick test_queue_size_bounded;
+       Alcotest.test_case "default engine = interpreter" `Quick
+         test_default_equals_interpreter;
+       Alcotest.test_case "plan failure falls back on the interpreter"
+         `Quick test_compile_fallback ]) ]

@@ -292,18 +292,35 @@ let canonical () =
     (T.events ());
   Buffer.contents buf
 
+(* canonical listing of one traced case-study simulation on [compiled] *)
+let traced_case_study ?compiled () =
+  with_fresh_trace @@ fun () ->
+  let a = case_study_analyzed () in
+  (match P.simulate ?compiled a with
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "case study does not simulate");
+  T.set_enabled false;
+  canonical ()
+
+let golden () = Test_data.read "corpus/golden/trace_producer_consumer.txt"
+
+(* the golden records the interpreter's span structure *)
 let test_golden_case_study () =
-  let got =
-    with_fresh_trace @@ fun () ->
-    let a = case_study_analyzed () in
-    (match P.simulate a with
-     | Ok _ -> ()
-     | Error _ -> Alcotest.fail "case study does not simulate");
-    T.set_enabled false;
-    canonical ()
+  Alcotest.(check string) "canonical trace" (golden ())
+    (traced_case_study ~compiled:false ())
+
+(* the default engine (compiled) spans differently but draws the
+   golden's schedule timeline, lane for lane *)
+let test_golden_lanes_default () =
+  let lanes s =
+    List.filter
+      (String.starts_with ~prefix:"lane ")
+      (String.split_on_char '\n' s)
   in
-  let want = Test_data.read "corpus/golden/trace_producer_consumer.txt" in
-  Alcotest.(check string) "canonical trace" want got
+  let want = lanes (golden ()) in
+  Alcotest.(check bool) "golden has lanes" true (want <> []);
+  Alcotest.(check (list string)) "lane lines" want
+    (lanes (traced_case_study ()))
 
 (* ---------------- qcheck: random span trees ------------------------ *)
 
@@ -492,6 +509,8 @@ let suite =
          test_chrome_case_study;
        Alcotest.test_case "golden canonical trace" `Quick
          test_golden_case_study;
+       Alcotest.test_case "default engine draws the golden lanes" `Quick
+         test_golden_lanes_default;
        QCheck_alcotest.to_alcotest prop_chrome_parses;
        Alcotest.test_case "deadline-miss report" `Quick
          test_deadline_miss_report;
