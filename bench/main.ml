@@ -522,9 +522,14 @@ let bench_simulate () =
   | _ -> failwith "simulate bench: speedup rows missing"
 
 (* C6: lockstep multi-scenario stepping — one compiled plan advancing
-   K striped state copies vs K independent batched runs. The lockstep
-   rows share closure code and plan metadata across scenarios, so the
-   amortized per-scenario cost should fall as K grows. *)
+   K striped state copies vs K independent batched runs. Scenarios
+   whose state and stimulus coincide share the instant, so a sweep
+   costs what its distinct (state, stimulus) pairs cost. The staggered
+   sweep (scenario s's arrival s ticks late) converges once each
+   arrival is queued; the diverging sweep (an arrival with probability
+   1/5 per scenario-instant, drawn from a fixed seed) splits scenarios
+   again and again, so it shares less and prices the bookkeeping of
+   sharing. *)
 let bench_scenarios () =
   let a = analyzed CS.registry_nominal in
   let kp = a.P.kernel in
@@ -532,52 +537,80 @@ let bench_scenarios () =
   let c0 = Result.get_ok (Polysim.Compile.compile kp) in
   let tick = Option.get (Polysim.Compile.signal_index c0 "tick") in
   let go = Option.get (Polysim.Compile.signal_index c0 "env_pGo") in
-  (* scenario s delays the environment arrival by s base ticks *)
-  let fill_at t c s =
+  let staggered t s = t = s mod horizon in
+  let diverging =
+    let rng = Random.State.make [| 6 |] in
+    let arrive =
+      Array.init 16 (fun _ ->
+          Array.init horizon (fun _ -> Random.State.int rng 5 = 0))
+    in
+    fun t s -> arrive.(s).(t)
+  in
+  let fill_at arrives t c s =
     Polysim.Compile.set_stim c tick Types.Vevent;
-    if t = s mod horizon then Polysim.Compile.set_stim c go (Types.Vint 1)
+    if arrives t s then Polysim.Compile.set_stim c go (Types.Vint 1)
   in
-  let lockstep k =
-    Test.make ~name:(Printf.sprintf "scenarios/lockstep-%d(24-instants)" k)
-      (Staged.stage (fun () ->
-           match Polysim.Compile.compile_scenarios kp ~scenarios:k with
-           | Error m -> failwith m
-           | Ok c ->
-             for t = 0 to horizon - 1 do
-               match Polysim.Compile.step_many c ~fill:(fill_at t) with
-               | Ok () -> ()
-               | Error m -> failwith m
-             done))
+  let sweep arrives k =
+    match Polysim.Compile.compile_scenarios kp ~scenarios:k with
+    | Error m -> failwith m
+    | Ok c ->
+      for t = 0 to horizon - 1 do
+        match Polysim.Compile.step_many c ~fill:(fill_at arrives t) with
+        | Ok () -> ()
+        | Error m -> failwith m
+      done
   in
-  let independent k =
-    Test.make ~name:(Printf.sprintf "scenarios/independent-%d(24-instants)" k)
-      (Staged.stage (fun () ->
-           for s = 0 to k - 1 do
-             match Polysim.Compile.compile kp with
-             | Error m -> failwith m
-             | Ok c -> (
-               match
-                 Polysim.Compile.run_batched c ~n:horizon ~fill:(fun c t ->
-                     fill_at t c s)
-               with
-               | Ok () -> ()
-               | Error m -> failwith m)
-           done))
+  let independent arrives k () =
+    for s = 0 to k - 1 do
+      match Polysim.Compile.compile kp with
+      | Error m -> failwith m
+      | Ok c -> (
+        match
+          Polysim.Compile.run_batched c ~n:horizon ~fill:(fun c t ->
+              fill_at arrives t c s)
+        with
+        | Ok () -> ()
+        | Error m -> failwith m)
+    done
+  in
+  let row kind k f =
+    Test.make ~name:(Printf.sprintf "scenarios/%s-%d(24-instants)" kind k)
+      (Staged.stage f)
   in
   run_benchs "C6: lockstep multi-scenario stepping"
-    [ lockstep 1; lockstep 8; lockstep 64; independent 64 ];
+    [ row "lockstep" 1 (fun () -> sweep staggered 1);
+      row "lockstep" 8 (fun () -> sweep staggered 8);
+      row "lockstep" 64 (fun () -> sweep staggered 64);
+      row "independent" 64 (independent staggered 64);
+      row "lockstep-diverging" 16 (fun () -> sweep diverging 16);
+      row "independent-diverging" 16 (independent diverging 16) ];
   let ns name =
     List.assoc_opt ("C6: lockstep multi-scenario stepping/" ^ name) !all_rows
   in
-  match
-    (ns "scenarios/lockstep-64(24-instants)",
-     ns "scenarios/independent-64(24-instants)")
-  with
-  | Some lock, Some indep ->
-    Format.printf
-      "  lockstep-64: %.1f us amortized per scenario (independent: %.1f us)@."
-      (lock /. 64. /. 1e3) (indep /. 64. /. 1e3)
-  | _ -> ()
+  let counter = Putil.Metrics.counter_value Putil.Metrics.global in
+  let shared_pct arrives k =
+    let s0 = counter "compile.shared_instants"
+    and i0 = counter "compile.instants" in
+    sweep arrives k;
+    100. *. float_of_int (counter "compile.shared_instants" - s0)
+    /. float_of_int (counter "compile.instants" - i0)
+  in
+  List.iter
+    (fun (what, arrives, k) ->
+      match
+        ( ns (Printf.sprintf "scenarios/lockstep%s-%d(24-instants)" what k),
+          ns (Printf.sprintf "scenarios/independent%s-%d(24-instants)" what k) )
+      with
+      | Some lock, Some indep ->
+        Format.printf
+          "  lockstep%s-%d: %.1f us amortized per scenario (independent: \
+           %.1f us), %.0f%% of scenario-instants shared@."
+          what k
+          (lock /. float_of_int k /. 1e3)
+          (indep /. float_of_int k /. 1e3)
+          (shared_pct arrives k)
+      | _ -> ())
+    [ ("", staggered, 64); ("-diverging", diverging, 16) ]
 
 (* C4: affine clock calculus micro-ops *)
 let bench_affine () =

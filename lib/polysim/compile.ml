@@ -17,6 +17,7 @@ let m_bdd_apply_calls = Metrics.gauge "compile.bdd_apply_calls"
 let m_bdd_apply_hit_pct = Metrics.gauge "compile.bdd_apply_hit_pct"
 let m_free_classes = Metrics.gauge "compile.free_classes"
 let m_instants = Metrics.counter "compile.instants"
+let m_shared_instants = Metrics.counter "compile.shared_instants"
 let m_step_ns = Metrics.timer "compile.step_ns"
 let m_codegen_bytes = Metrics.gauge "compile.codegen_bytes"
 
@@ -80,7 +81,6 @@ type prim_st = {
   q_tg : int array;
   q_len : int array;               (* per scenario *)
   q_head : int array;              (* per scenario *)
-  overflows : int array;           (* per scenario *)
 }
 
 (* The compiler is split in two: an immutable [plan] — everything that
@@ -91,7 +91,9 @@ type prim_st = {
    of a [K]-scenario instance owns slots [s*n .. s*n+n-1] of every
    per-signal array (and [s*nclasses ..] of the presence array), and
    the compiled code addresses state only through [base_sig]/[base_cls],
-   so one shared plan drives any number of scenarios in lockstep.
+   so one shared plan drives any number of scenarios in lockstep, and
+   scenarios known to be in the same state share the work of an
+   instant (see "Lockstep sharing" below).
    Plans are memoized on the kernel's structural digest and shared
    freely, including across domains: stepping an instance only reads
    the plan, so each worker of the parallel explorer instantiates its
@@ -107,6 +109,7 @@ type plan = {
   p_plan : op array;
   p_ops : (t -> unit) array;       (* the schedule, compiled to closures *)
   p_n_free : int;                  (* statically free classes *)
+  p_live : int array;              (* registers fed by a delay equation *)
   p_decls : Ast.nvardecl list;     (* cached for cheap instantiation *)
 }
 
@@ -144,6 +147,10 @@ and t = {
   dtg : int array;
   prims : prim_st array;
   traces : Trace.t array;          (* one per scenario *)
+  (* lockstep sharing, per scenario *)
+  leader : int array;              (* lowest scenario in the same state *)
+  served : int array;              (* whose instant it took, this instant *)
+  last_rows : (int * Types.value) array array;  (* last recorded row *)
   mutable instants : int;
   mutable recording : bool;
 }
@@ -435,7 +442,6 @@ let qwrite_tail st p src =
 let qpush_bounded st p src =
   let s = st.scen in
   if p.q_len.(s) >= p.cap then begin
-    p.overflows.(s) <- p.overflows.(s) + 1;
     match p.lp.Prog.lp_policy with
     | Prog.Drop_oldest ->
       qpop p s;
@@ -948,6 +954,11 @@ let compile_impl kp =
       { p_prog = prog; p_calc = calc; p_class_of = class_of;
         p_nclasses = nclasses; p_pdefs = pdefs; p_clock_bdd = clock_bdd;
         p_bddvars = bddvars; p_plan = plan; p_ops = ops; p_n_free = n_free;
+        p_live =
+          Array.of_list
+            (List.filter
+               (fun i -> prog.Prog.delay_src.(i) >= 0)
+               (List.init nsignals Fun.id));
         p_decls = Prog.decls prog }
   with
   | Comp_error m -> Error m
@@ -998,10 +1009,13 @@ let instantiate ?(scenarios = 1) pl =
               q_rs = Array.make (k * cap) "";
               q_tg = Array.make (k * cap) 0;
               q_len = Array.make k 0;
-              q_head = Array.make k 0;
-              overflows = Array.make k 0 })
+              q_head = Array.make k 0 })
           prog.Prog.prims;
       traces = Array.init k (fun _ -> Trace.create pl.p_decls);
+      (* every stripe starts from the same initial state *)
+      leader = Array.make k 0;
+      served = Array.init k Fun.id;
+      last_rows = Array.make k [||];
       instants = 0;
       recording = true }
   in
@@ -1150,7 +1164,8 @@ let exec_instant st =
   if st.recording then begin
     let row = Array.make cnt (0, Types.Vevent) in
     fill_row st b 0 0 row;
-    Trace.push_row st.traces.(st.scen) row
+    Trace.push_row st.traces.(st.scen) row;
+    st.last_rows.(st.scen) <- row
   end;
   (* commit: delays then queues *)
   let delay_src = st.prog.Prog.delay_src in
@@ -1189,13 +1204,162 @@ let iter_present st f =
       f i (slot_value st (b + i))
   done
 
+(* ------------------------------------------------------------------ *)
+(* Lockstep sharing                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Scenarios of a sweep often reach the same state: an event queued on
+   an in event port carries no arrival time, so scenarios that differ
+   only in when an arrival happened converge a few ticks later. The
+   live state is the delay registers fed by a delay equation plus the
+   queued FIFO cells; an instant is a function of the live state and
+   the stimulus alone. Between instants, [leader.(s)] is the lowest
+   scenario whose live state is known to equal [s]'s ([s] itself if
+   none). Within an instant, [served.(s)] is the scenario whose
+   post-instant state [s] copied, or [s] if [s] executed. Every stripe
+   always holds its true state: sharing only decides who computes it,
+   so snapshots, state keys and traces need no materialization.
+   Comparisons are exact: tags, ints and strings directly, floats by
+   bit pattern, queues by length and cells in logical order. *)
+
+let cell_equal (tg : int array) (ri : int array) (rr : float array)
+    (rs : string array) ja jb =
+  let t = tg.(ja) in
+  t = tg.(jb)
+  &&
+  match t with
+  | 3 -> Int64.equal (Int64.bits_of_float rr.(ja)) (Int64.bits_of_float rr.(jb))
+  | 4 -> String.equal rs.(ja) rs.(jb)
+  | _ -> ri.(ja) = ri.(jb)
+
+let cell_copy (tg : int array) (ri : int array) (rr : float array)
+    (rs : string array) ~src ~dst =
+  let t = tg.(src) in
+  tg.(dst) <- t;
+  match t with
+  | 3 -> rr.(dst) <- rr.(src)
+  | 4 -> rs.(dst) <- rs.(src)
+  | _ -> ri.(dst) <- ri.(src)
+
+(* the freshly filled stimuli of scenarios [a] and [b] coincide *)
+let same_stim st a b =
+  let inputs = st.prog.Prog.inputs in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length inputs do
+    let ja = (a * st.n) + inputs.(!k) and jb = (b * st.n) + inputs.(!k) in
+    let p = st.stim_p.(ja) in
+    ok :=
+      p = st.stim_p.(jb)
+      && ((not p) || cell_equal st.tg st.ri st.rr st.rs ja jb);
+    incr k
+  done;
+  !ok
+
+let queue_equal p a b =
+  let len = p.q_len.(a) in
+  let ok = ref (len = p.q_len.(b)) and k = ref 0 in
+  while !ok && !k < len do
+    ok :=
+      cell_equal p.q_tg p.q_ri p.q_rr p.q_rs
+        ((a * p.cap) + ((p.q_head.(a) + !k) mod p.cap))
+        ((b * p.cap) + ((p.q_head.(b) + !k) mod p.cap));
+    incr k
+  done;
+  !ok
+
+let same_state st a b =
+  let live = st.pl.p_live in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length live do
+    ok :=
+      cell_equal st.dtg st.di st.dr st.ds
+        ((a * st.n) + live.(!k)) ((b * st.n) + live.(!k));
+    incr k
+  done;
+  k := 0;
+  while !ok && !k < Array.length st.prims do
+    ok := queue_equal st.prims.(!k) a b;
+    incr k
+  done;
+  !ok
+
+let copy_state st ~src ~dst =
+  let live = st.pl.p_live in
+  for k = 0 to Array.length live - 1 do
+    cell_copy st.dtg st.di st.dr st.ds ~src:((src * st.n) + live.(k))
+      ~dst:((dst * st.n) + live.(k))
+  done;
+  for q = 0 to Array.length st.prims - 1 do
+    let p = st.prims.(q) in
+    let len = p.q_len.(src) and head = p.q_head.(src) in
+    p.q_len.(dst) <- len;
+    p.q_head.(dst) <- head;
+    for k = 0 to len - 1 do
+      let idx = (head + k) mod p.cap in
+      cell_copy p.q_tg p.q_ri p.q_rr p.q_rs ~src:((src * p.cap) + idx)
+        ~dst:((dst * p.cap) + idx)
+    done
+  done
+
+(* nothing is known to be shared, e.g. after [restore] or an error *)
+let reset_sharing st =
+  for s = 0 to st.nscen - 1 do
+    st.leader.(s) <- s
+  done
+
+(* the instant of selected scenario [s], whose stimulus is filled: if
+   an earlier scenario of its pre-instant class executed this instant
+   on the same stimulus, take that scenario's post-instant state and
+   row instead of executing. Returns whether [s] shared. *)
+let share_or_exec st s =
+  let l = st.leader.(s) in
+  let r = ref l in
+  while
+    !r < s
+    && not (st.served.(!r) = !r && st.leader.(!r) = l && same_stim st !r s)
+  do
+    incr r
+  done;
+  if !r < s then begin
+    copy_state st ~src:!r ~dst:s;
+    if st.recording then Trace.push_row st.traces.(s) st.last_rows.(!r);
+    st.served.(s) <- !r;
+    true
+  end
+  else begin
+    st.served.(s) <- s;
+    exec_instant st;
+    false
+  end
+
+(* after an instant: a scenario that shared joins its server's class;
+   one that executed joins the first earlier class whose state it
+   equals *)
+let merge_classes st =
+  for s = 0 to st.nscen - 1 do
+    let r = st.served.(s) in
+    if r <> s then st.leader.(s) <- st.leader.(r)
+    else begin
+      let o = ref 0 in
+      while !o < s && not (st.leader.(!o) = !o && same_state st !o s) do
+        incr o
+      done;
+      st.leader.(s) <- !o
+    end
+  done
+
 (* The one stepping core: [n] lockstep instants of scenarios
    [0 .. k-1]; [fill st t s] sets scenario [s]'s stimulus for relative
-   instant [t] into the freshly cleared buffer. A stimulus or step
-   error ends the call as [Error]; every exit leaves scenario 0
-   selected, so the dense accessors read scenario 0 after any call. *)
+   instant [t] into the freshly cleared buffer. With [k > 1], scenarios
+   share instants (above). A stimulus or step error ends the call as
+   [Error]; every exit leaves scenario 0 selected, so the dense
+   accessors read scenario 0 after any call (scenario 0 always
+   executes). *)
 let step_core st ~n ~k fill =
   let t0 = Clock.now_ns () in
+  (* stepping only some scenarios leaves the others behind *)
+  if k < st.nscen then reset_sharing st;
+  let shared = ref 0 in
   let r =
     try
       for t = 0 to n - 1 do
@@ -1203,13 +1367,21 @@ let step_core st ~n ~k fill =
           select_scenario st s;
           stim_clear st;
           fill st t s;
-          exec_instant st
+          if k = 1 then exec_instant st
+          else if share_or_exec st s then incr shared
         done;
+        if k > 1 then merge_classes st;
         st.instants <- st.instants + 1
       done;
       Ok ()
-    with Comp_error m -> Error m
+    with
+    | Comp_error m -> reset_sharing st; Error m
+    | e -> reset_sharing st; raise e
   in
+  if !shared > 0 then begin
+    Metrics.incr ~by:!shared m_instants;
+    Metrics.incr ~by:!shared m_shared_instants
+  end;
   select_scenario st 0;
   Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
   r
@@ -1273,6 +1445,7 @@ let restore st snap =
           p.q_len.(s) <- p.q_len.(s) + 1)
         vs)
     snap.s_queues;
+  reset_sharing st;
   st.instants <- snap.s_instants
 
 let set_recording st b = st.recording <- b

@@ -19,7 +19,8 @@
 
     Two stepping entries share one core: {!run_batched} steps [n]
     instants of scenario 0 and {!step_many} steps one instant of every
-    scenario of a {!compile_scenarios} instance. The steady-state step
+    scenario of a {!compile_scenarios} instance, executing each
+    distinct (state, stimulus) pair once. The steady-state step
     loop is allocation-flat: with trace recording off, {!run_batched}
     performs no per-instant heap allocation (values live in
     int/float/string payload arrays indexed by signal, tagged per
@@ -51,8 +52,8 @@ val compile_scenarios :
     copies of the mutable state (delay registers, FIFO queues,
     presence bits, stimulus buffer, trace) in scenario-striped
     structure-of-arrays layout, all driven in lockstep by
-    {!step_many} over the one shared plan. [scenarios] must be
-    [>= 1]. *)
+    {!step_many} over the one shared plan. All scenarios start in the
+    same state. [scenarios] must be [>= 1]. *)
 
 val compile_uncached : Signal_lang.Kernel.kprocess -> (t, string) result
 (** [compile] bypassing the plan memo: always rebuilds. For benches
@@ -141,9 +142,29 @@ val run_batched : t -> n:int -> fill:(t -> int -> unit) -> (unit, string) result
 val step_many : t -> fill:(t -> int -> unit) -> (unit, string) result
 (** Advance {e every} scenario of the instance by one instant, in
     lockstep over the shared plan. [fill c s] sets scenario [s]'s
-    stimulus via {!set_stim}. Per-scenario results land in
-    {!trace_of}; each scenario behaves exactly as an independent
-    instance driven with the same stimuli (tested). *)
+    stimulus via {!set_stim}; scenarios are filled and stepped one at
+    a time in index order, so an [Error] is the one of the first
+    failing scenario. Per-scenario results land in {!trace_of}; each
+    scenario behaves exactly as an independent instance driven with
+    the same stimuli (tested).
+
+    Scenarios whose state and stimulus coincide share the instant.
+    The instance tracks which scenarios are in the same state (delay
+    registers and queued FIFO contents, compared exactly). When
+    scenario [s]'s stimulus equals, on every input slot, that of an
+    earlier scenario that executed this instant from the same state,
+    [s] does not execute: it copies that scenario's post-instant state
+    into its own stripe and records the same trace row. Every stripe
+    always holds its true state, so {!snapshot}, {!state_key},
+    {!fork} and {!trace_of} see no difference; {!restore}, an [Error]
+    and a {!run_batched} call (which steps scenario 0 only) forget
+    what is shared. A sweep therefore costs its distinct
+    (state, stimulus) pairs, not K times its instants. With one
+    scenario nothing is shared.
+
+    Counters: [compile.instants] counts every scenario-instant,
+    executed or shared, so it reads K per call; [compile.shared_instants]
+    counts the scenario-instants served by sharing. *)
 
 val trace : t -> Trace.t
 (** Trace of scenario 0. *)

@@ -18,7 +18,10 @@ val push :
 val push_row : t -> (int * Signal_lang.Types.value) array -> unit
 (** Int-indexed fast path used by the simulators: the row lists the
     present signals by declaration index, {e sorted ascending}, with
-    their values. The array is owned by the trace after the call. *)
+    their values. The array is owned by the trace after the call and
+    is immutable from then on: one row may be pushed into several
+    traces (lockstep scenarios that share an instant share its row),
+    so no consumer may mutate a row it reads. *)
 
 val index_of : t -> Signal_lang.Ast.ident -> int option
 (** Declaration index of a signal name. *)

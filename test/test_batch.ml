@@ -302,7 +302,231 @@ let test_steady_state_allocation_flat () =
     true
     (d_long -. d_short < 256.)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_batched_equivalence ]
+(* ---- lockstep sharing ---- *)
+
+let case_kernel = lazy (analyzed ()).Polychrony.Pipeline.kernel
+
+let case_index c x =
+  match Compile.signal_index c x with
+  | Some i -> i
+  | None -> Alcotest.fail ("case study has no signal " ^ x)
+
+(* Sweeps over the case study whose scenarios merge, diverge and merge
+   again: scenario [s]'s first arrival comes [s * gap] ticks late, a
+   random subset gets a late second arrival (of another value), and
+   sometimes one scenario names an unknown input at one instant. *)
+let sweep_horizon = 48
+
+let gen_sweep =
+  QCheck2.Gen.(
+    int_range 2 16 >>= fun k ->
+    int_range 1 3 >>= fun gap ->
+    list_repeat k (opt ~ratio:0.4 (int_range 20 (sweep_horizon - 1)))
+    >>= fun seconds ->
+    frequency
+      [ (3, return None);
+        (1, map Option.some
+              (pair (int_range 0 (k - 1)) (int_range 0 (sweep_horizon - 1))))
+      ]
+    >|= fun bad -> (k, gap, Array.of_list seconds, bad))
+
+let print_sweep (k, gap, seconds, bad) =
+  Printf.sprintf "k=%d gap=%d seconds=[%s] bad=%s" k gap
+    (String.concat ";"
+       (Array.to_list
+          (Array.map
+             (function Some t -> string_of_int t | None -> "-")
+             seconds)))
+    (match bad with
+     | Some (s, t) -> Printf.sprintf "(%d,%d)" s t
+     | None -> "-")
+
+let sweep_fill (_, gap, seconds, bad) c s t =
+  Compile.set_stim c (case_index c "tick") ve;
+  if t = s * gap mod sweep_horizon then
+    Compile.set_stim c (case_index c "env_pGo") (vi 1)
+  else if seconds.(s) = Some t then
+    Compile.set_stim c (case_index c "env_pGo") (vi 2);
+  if bad = Some (s, t) then Compile.set_stim_named c "env_nope" ve
+
+(* every scenario of a sharing sweep equals an independent
+   [run_batched] run, up to the first error, which is the same *)
+let prop_sharing_differential =
+  QCheck2.Test.make ~name:"lockstep sharing = independent runs" ~count:40
+    ~print:print_sweep gen_sweep
+    (fun ((k, _, _, _) as sw) ->
+      let kp = Lazy.force case_kernel in
+      let fill = sweep_fill sw in
+      let c = Result.get_ok (Compile.compile_scenarios kp ~scenarios:k) in
+      let rec lockstep t =
+        if t >= sweep_horizon then None
+        else
+          match Compile.step_many c ~fill:(fun c s -> fill c s t) with
+          | Ok () -> lockstep (t + 1)
+          | Error m -> Some (t, m)
+      in
+      let got = lockstep 0 in
+      let independent s n =
+        let ci = Result.get_ok (Compile.compile kp) in
+        match Compile.run_batched ci ~n ~fill:(fun c t -> fill c s t) with
+        | Ok () -> (ci, None)
+        | Error m -> (ci, Some ((Compile.instant ci, s), m))
+      in
+      let runs = Array.init k (fun s -> independent s sweep_horizon) in
+      (* the lockstep order is instant-major, scenario-minor *)
+      let expected =
+        Array.fold_left
+          (fun acc (_, e) ->
+            match acc, e with
+            | None, e | e, None -> e
+            | Some (a, _), Some (b, _) -> if b < a then e else acc)
+          None runs
+      in
+      let same_error =
+        match got, expected with
+        | None, None -> true
+        | Some (t, m), Some ((t', _), m') -> t = t' && String.equal m m'
+        | _, _ -> false
+      in
+      same_error
+      && List.for_all
+           (fun s ->
+             let ci =
+               match expected with
+               | None -> fst runs.(s)
+               | Some ((t, s_err), _) ->
+                 fst (independent s (if s < s_err then t + 1 else t))
+             in
+             Trace.equal (Compile.trace_of c s) (Compile.trace ci))
+           (List.init k Fun.id))
+
+(* snapshot -> step -> restore -> step on a K > 1 instance, both from
+   a merged state into a diverged one and back: every scenario equals
+   an independent instance driven through the same calls, and restore
+   brings back the snapshot's state key *)
+let test_sharing_snapshot_restore () =
+  let kp = Lazy.force case_kernel in
+  let k = 4 in
+  let kb = Compile.keybuf () in
+  (* phase [p] of the script: 0 = everyone's arrival at instant 0,
+     1 = scenario s's arrival at instant s, 2 = ticks only *)
+  let stim phase s t c =
+    Compile.set_stim c (case_index c "tick") ve;
+    let arrive = match phase with 0 -> t = 0 | 1 -> t = s | _ -> false in
+    if arrive then Compile.set_stim c (case_index c "env_pGo") (vi 1)
+  in
+  let script =
+    (* phase, instants; [`Snap] / [`Restore] in between *)
+    [ `Run (0, 12); `Snap; `Run (1, 6); `Restore; `Run (2, 10);
+      `Run (1, 6); `Snap; `Run (2, 30); `Restore; `Run (2, 10) ]
+  in
+  let play c ~step =
+    let snap = ref None and keys_ok = ref true in
+    List.iter
+      (function
+        | `Run (phase, n) ->
+          for t = 0 to n - 1 do
+            match step c phase t with
+            | Ok () -> ()
+            | Error m -> Alcotest.fail m
+          done
+        | `Snap -> snap := Some (Compile.snapshot c, Compile.state_key c kb)
+        | `Restore ->
+          let s, key = Option.get !snap in
+          Compile.restore c s;
+          if not (String.equal (Compile.state_key c kb) key) then
+            keys_ok := false)
+      script;
+    !keys_ok
+  in
+  let c = Result.get_ok (Compile.compile_scenarios kp ~scenarios:k) in
+  Alcotest.(check bool) "restore brings back the state key" true
+    (play c ~step:(fun c phase t ->
+         Compile.step_many c ~fill:(fun c s -> stim phase s t c)));
+  for s = 0 to k - 1 do
+    let ci = Result.get_ok (Compile.compile kp) in
+    ignore
+      (play ci ~step:(fun c phase t ->
+           Compile.run_batched c ~n:1 ~fill:(fun c _ -> stim phase s t c)));
+    Alcotest.(check bool)
+      (Printf.sprintf "scenario %d = independent instance" s)
+      true
+      (Trace.equal (Compile.trace_of c s) (Compile.trace ci))
+  done
+
+(* a call that steps only some scenarios of a merged instance leaves
+   the others behind, so sharing must not outlive it: a [step_many]
+   failing at scenario 1 (scenario 0 has stepped, 1 and 2 have not),
+   and a [run_batched], which steps scenario 0 alone *)
+let test_sharing_partial_steps () =
+  let kp = Lazy.force case_kernel in
+  let tick c = Compile.set_stim c (case_index c "tick") ve in
+  let check what partial ahead =
+    let c = Result.get_ok (Compile.compile_scenarios kp ~scenarios:3) in
+    let many () =
+      match Compile.step_many c ~fill:(fun c _ -> tick c) with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m
+    in
+    many ();
+    partial c;
+    for _ = 1 to 20 do many () done;
+    List.iter
+      (fun s ->
+        let n = 21 + if s = 0 then ahead else 0 in
+        let ci = Result.get_ok (Compile.compile kp) in
+        (match Compile.run_batched ci ~n ~fill:(fun c _ -> tick c) with
+         | Ok () -> ()
+         | Error m -> Alcotest.fail m);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: scenario %d = %d independent instants" what s n)
+          true
+          (Trace.equal (Compile.trace_of c s) (Compile.trace ci)))
+      [ 0; 1; 2 ]
+  in
+  check "failed step_many"
+    (fun c ->
+      match
+        Compile.step_many c ~fill:(fun c s ->
+            tick c;
+            if s = 1 then Compile.set_stim_named c "env_nope" ve)
+      with
+      | Ok () -> Alcotest.fail "an unknown input must fail the step"
+      | Error _ -> ())
+    1;
+  check "run_batched"
+    (fun c ->
+      match Compile.run_batched c ~n:2 ~fill:(fun c _ -> tick c) with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m)
+    2
+
+let shared_instants () =
+  Putil.Metrics.counter_value Putil.Metrics.global "compile.shared_instants"
+
+let all_instants () =
+  Putil.Metrics.counter_value Putil.Metrics.global "compile.instants"
+
+(* the case study's default 16-scenario sweep (2 hyper-periods, 48
+   instants): every scenario-instant is counted, 650 of the 768 are
+   served by sharing; a single scenario never shares *)
+let test_shared_instants_pinned () =
+  let a = analyzed () in
+  let sweep scenarios =
+    let s0 = shared_instants () and i0 = all_instants () in
+    (match Polychrony.Pipeline.simulate_scenarios ~scenarios a with
+     | Ok _ -> ()
+     | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds));
+    (shared_instants () - s0, all_instants () - i0)
+  in
+  Alcotest.(check (pair int int)) "16 scenarios: shared, all" (650, 768)
+    (sweep 16);
+  Alcotest.(check (pair int int)) "1 scenario: shared, all" (0, 48)
+    (sweep 1)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_batched_equivalence; prop_sharing_differential ]
 
 let suite =
   [ ("batch",
@@ -319,5 +543,11 @@ let suite =
        Alcotest.test_case "default engine: step and argument errors" `Quick
          test_default_engine_errors;
        Alcotest.test_case "steady-state allocation flat" `Quick
-         test_steady_state_allocation_flat ]
+         test_steady_state_allocation_flat;
+       Alcotest.test_case "sharing: snapshot, restore" `Quick
+         test_sharing_snapshot_restore;
+       Alcotest.test_case "sharing: partial steps reset it" `Quick
+         test_sharing_partial_steps;
+       Alcotest.test_case "sharing: shared instants pinned" `Quick
+         test_shared_instants_pinned ]
      @ qsuite) ]
