@@ -43,9 +43,6 @@ type manager = {
   mutable gc_swept : int;        (* dead nodes reclaimed, cumulative *)
 }
 
-(* nodes surviving the last compacting sweep, for live exposition *)
-let m_live_nodes = Putil.Metrics.gauge "bdd.live_nodes"
-
 let initial_capacity = 1024
 let initial_table = 4096   (* unique table; power of two *)
 let initial_cache = 32768  (* apply cache; power of two *)
@@ -439,12 +436,15 @@ let rec and_exists m ~cube:c a b =
     end
   end
 
-(* [rename m ~map a] substitutes variable [v] by [map.(v)] (identity
-   beyond the array). The map must be strictly increasing on the
-   support of [a] so the result keeps the variable order — true for
-   the interleaved next↔current rails, where it is a shift by one.
-   Memoized per call: renaming runs once per image iteration. *)
-let rename m ~map a =
+(* [rename m ~map] substitutes variable [v] by [map.(v)] (identity
+   beyond the array) for a map injective on the argument's support. A
+   node whose target variable still tests before its renamed children
+   is a direct [mk] — always so for an order-preserving map such as the
+   next→current shift on interleaved rails; otherwise the map reorders
+   variables and the node is rebuilt as [ite(map v, hi, lo)] through
+   [apply]. The memo lives in the closure: partially applied to
+   [~map], one pass serves every root that shares nodes. *)
+let rename m ~map =
   let memo = Hashtbl.create 64 in
   let rec go n =
     if n <= 1 then n
@@ -454,11 +454,17 @@ let rename m ~map a =
       | None ->
         let v = m.var_of.(n) in
         let v' = if v < Array.length map then map.(v) else v in
-        let r = mk m v' (go m.low_of.(n)) (go m.high_of.(n)) in
+        let hi = go m.high_of.(n) and lo = go m.low_of.(n) in
+        let r =
+          if v' < m.var_of.(hi) && v' < m.var_of.(lo) then mk m v' lo hi
+          else
+            let x = var m v' in
+            or_ m (and_ m x hi) (and_ m (not_ m x) lo)
+        in
         Hashtbl.add memo n r;
         r
   in
-  go a
+  go
 
 (* [sat_count m ~vars a] counts satisfying assignments over exactly the
    variable set [vars] (sorted ascending; must contain the support).
@@ -501,7 +507,8 @@ let sat_count m ~vars a =
    [roots]; the array is rewritten in place with the relocated ids, and
    every other handle the client kept is invalid afterwards. Never runs
    implicitly — callers (the symbolic engine, between image iterations)
-   decide when the table has grown enough to be worth sweeping. *)
+   decide when the table has grown enough to be worth sweeping, and
+   publish it if they want it seen: a manager is not a global. *)
 let gc m ~roots =
   let n = m.next in
   let marked = Bytes.make n '\000' in
@@ -543,10 +550,12 @@ let gc m ~roots =
   Array.fill m.not_of live (Array.length m.not_of - live) (-1);
   m.next <- live;
   (* rebuild the unique table under 25% load, floored at the initial
-     size so small post-sweep populations don't thrash *)
+     size so small post-sweep populations don't thrash; a table already
+     of that size is cleared in place rather than reallocated *)
   let size = ref initial_table in
   while !size < 4 * live do size := 2 * !size done;
-  m.uniq <- Array.make !size 0;
+  if !size = Array.length m.uniq then Array.fill m.uniq 0 !size 0
+  else m.uniq <- Array.make !size 0;
   let mask = !size - 1 in
   for i = 2 to live - 1 do
     uniq_insert_node m m.uniq mask i
@@ -561,11 +570,6 @@ let gc m ~roots =
   Array.iteri (fun k r -> roots.(k) <- map.(r)) roots;
   m.gc_collections <- m.gc_collections + 1;
   m.gc_swept <- m.gc_swept + (n - live);
-  Putil.Metrics.set m_live_nodes live;
-  Putil.Tracing.instant "bdd.gc" ~cat:"clocks"
-    ~args:
-      [ ("live", Putil.Tracing.Aint live);
-        ("swept", Putil.Tracing.Aint (n - live)) ];
   live
 
 let eval m env a =
@@ -609,6 +613,18 @@ let any_sat m a =
     Some (List.rev (go a []))
 
 let node_count m = m.next
+
+let size m a =
+  let seen = Hashtbl.create 64 in
+  let rec go n =
+    if n > 1 && not (Hashtbl.mem seen n) then begin
+      Hashtbl.add seen n ();
+      go m.low_of.(n);
+      go m.high_of.(n)
+    end
+  in
+  go a;
+  Hashtbl.length seen
 
 let apply_stats m = (m.applies, m.apply_hits)
 let relprod_stats m = (m.rp_applies, m.rp_hits)

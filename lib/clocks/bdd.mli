@@ -66,9 +66,13 @@ val and_exists : manager -> cube:t -> t -> t -> t
 
 val rename : manager -> map:int array -> t -> t
 (** [rename m ~map a] substitutes variable [v] by [map.(v)] (identity
-    past the end of the array). The map must be strictly increasing on
-    the support of [a] — e.g. the next→current shift on interleaved
-    variable rails. *)
+    past the end of the array), for a [map] injective on the support
+    of [a]. The map may reorder variables — the result is rebuilt in
+    the target order — and costs one [mk] per node when it keeps the
+    order (e.g. the next→current shift on interleaved variable rails).
+    Partially applied to [~map], the returned function shares one memo
+    across calls, so renaming many roots that share nodes walks each
+    node once; that memo is invalid after a {!gc}. *)
 
 val sat_count : manager -> vars:int array -> t -> float
 (** Number of satisfying assignments over exactly the variables in
@@ -79,7 +83,7 @@ val gc : manager -> roots:t array -> int
     reachable from [roots], rewrites [roots] in place with the
     relocated handles, flushes the apply caches, and returns the live
     node count. Every handle not passed as a root is invalid after the
-    call. *)
+    call. Publishes nothing: see {!gc_stats}. *)
 
 val relprod_stats : manager -> int * int
 (** [(consultations, hits)] of the relational-product cache. *)
@@ -107,6 +111,10 @@ val any_sat : manager -> t -> (int * bool) list option
 
 val node_count : manager -> int
 (** Number of live hash-consed nodes, for benches. *)
+
+val size : manager -> t -> int
+(** Number of non-terminal nodes reachable from the argument: the size
+    of one function, where {!node_count} is the whole manager's. *)
 
 val apply_stats : manager -> int * int
 (** [(consultations, hits)] of the binary apply cache since manager

@@ -80,21 +80,19 @@ type cdef =
          constant operands whose clock is contextual *)
   | Dunion of int list         (* union of classes *)
 
+type var_doc =
+  [ `Present of int | `Cond of Ast.ident | `CondEq of Ast.ident * int ]
+
 type t = {
   mgr : Bdd.manager;
   tab : K.sigtab;                           (* signal <-> dense index *)
   names : Ast.ident array;                  (* dense index -> signal *)
-  uf : Uf.t;
-  mutable class_ids : int array;            (* root index -> class id *)
-  mutable reprs : int array;                (* class id -> root index *)
-  mutable clocks : Bdd.t array;             (* class id -> clock bdd *)
-  mutable phi : Bdd.t;
-  mutable confl : string list;
-  cond_vars : (Ast.ident, int) Hashtbl.t;   (* condition signal -> bdd var *)
-  mutable nvars : int;
-  mutable var_doc :
-    (int * [ `Present of int | `Cond of Ast.ident
-           | `CondEq of Ast.ident * int ]) list;
+  class_ids : int array;                    (* signal index -> class id *)
+  reprs : int array;                        (* class id -> root index *)
+  clocks : Bdd.t array;                     (* class id -> clock bdd *)
+  phi : Bdd.t;
+  confl : string list;
+  var_doc : var_doc array;                  (* bdd var -> meaning *)
   qmu : Mutex.t;
       (* serializes post-analysis BDD work on [mgr]: query functions
          here plus consumers that borrow the manager through
@@ -107,12 +105,6 @@ let sig_index st x =
   match K.st_index_opt st.tab x with
   | Some i -> i
   | None -> raise Not_found
-
-let fresh_var st doc =
-  let v = st.nvars in
-  st.nvars <- v + 1;
-  st.var_doc <- (v, doc) :: st.var_doc;
-  v
 
 (* ------------------------------------------------------------------ *)
 (* Definition extraction                                               *)
@@ -277,13 +269,7 @@ let analyze_impl (kp : K.kprocess) =
     reprs.(class_ids.(i)) <- i
   done;
   let mgr = Bdd.manager () in
-  let st =
-    { mgr; tab; names; uf; class_ids; reprs;
-      clocks = Array.make (max nclasses 1) (Bdd.one mgr);
-      phi = Bdd.one mgr; confl = [];
-      cond_vars = Hashtbl.create 16; nvars = 0; var_doc = [];
-      qmu = Mutex.create () }
-  in
+  let confl = ref [] in
   let defmap = defmap_of kp in
   let atrue = always_true_set kp defmap in
   let class_of x = class_ids.(idx x) in
@@ -343,19 +329,29 @@ let analyze_impl (kp : K.kprocess) =
       | Stdproc.Pout_event_port, [ _item; output_time ], [ sent ] ->
         prim_constraints := K.Cle (sent, output_time) :: !prim_constraints
       | _ ->
-        st.confl <-
+        confl :=
           Printf.sprintf "instance %s: arity mismatch with primitive contract"
             ki.K.ki_label
-          :: st.confl)
+          :: !confl)
     kp.K.kinstances;
-  (* Phase 3: clock BDD per class, with cycle cut-off. *)
+  (* Phase 3: clock BDD per class, with cycle cut-off. Variables are
+     numbered in discovery order here; Φ is built only after phase 4
+     has reordered them. *)
+  let nvars = ref 0 and docs = ref [] in
+  let fresh_var doc =
+    let v = !nvars in
+    incr nvars;
+    docs := doc :: !docs;
+    v
+  in
+  let cond_vars : (Ast.ident, int) Hashtbl.t = Hashtbl.create 16 in
   let lit_bdd b pos =
     let v =
-      match Hashtbl.find_opt st.cond_vars b with
+      match Hashtbl.find_opt cond_vars b with
       | Some v -> v
       | None ->
-        let v = fresh_var st (`Cond b) in
-        Hashtbl.replace st.cond_vars b v;
+        let v = fresh_var (`Cond b) in
+        Hashtbl.replace cond_vars b v;
         v
     in
     let bv = Bdd.var mgr v in
@@ -369,17 +365,8 @@ let analyze_impl (kp : K.kprocess) =
       match Hashtbl.find_opt eq_vars (x, k) with
       | Some v -> v
       | None ->
-        let v = fresh_var st (`CondEq (x, k)) in
+        let v = fresh_var (`CondEq (x, k)) in
         Hashtbl.replace eq_vars (x, k) v;
-        (* exclusivity against previously seen constants of x *)
-        Hashtbl.iter
-          (fun (x', k') v' ->
-            if String.equal x' x && k' <> k then
-              st.phi <-
-                Bdd.and_ mgr st.phi
-                  (Bdd.not_ mgr
-                     (Bdd.and_ mgr (Bdd.var mgr v) (Bdd.var mgr v'))))
-          eq_vars;
         v
     in
     let bv = Bdd.var mgr v in
@@ -396,7 +383,7 @@ let analyze_impl (kp : K.kprocess) =
   let status = Array.make (max nclasses 1) `Todo in
   let clocks = Array.make (max nclasses 1) (Bdd.one mgr) in
   let free_clock c =
-    let v = fresh_var st (`Present c) in
+    let v = fresh_var (`Present c) in
     Bdd.var mgr v
   in
   (* A class may have several definitions (merged by [^=]) and they may
@@ -457,8 +444,24 @@ let analyze_impl (kp : K.kprocess) =
     | _ -> ()
     | exception Cyclic -> ()
   done;
-  (* second pass: all classes are Done, deferred definitions evaluate
-     without cycles and pin the free variables in Φ *)
+  (* Phase 4: Φ's conjuncts, collected rather than conjoined, so that
+     Φ is built once under the order they induce (DESIGN §12, "Clock-
+     calculus variable order"). Declared and primitive constraints
+     come first, then the deferred definitions (all classes are Done,
+     so they evaluate without cycles and pin the free variables), then
+     one at-most-one chain per compared signal. *)
+  let clock_of_sig x = clocks.(class_of x) in
+  let declared =
+    List.filter_map
+      (fun c ->
+        Metrics.incr m_constraints;
+        match c with
+        | K.Ceq _ -> None
+        | K.Cle (a, b) -> Some (Bdd.imp mgr (clock_of_sig a) (clock_of_sig b))
+        | K.Cex (a, b) ->
+          Some (Bdd.not_ mgr (Bdd.and_ mgr (clock_of_sig a) (clock_of_sig b))))
+      (kp.K.kconstraints @ !prim_constraints)
+  in
   let eval_done = function
     | Dwhen (base, bclass, lit) ->
       let opt = function
@@ -471,36 +474,113 @@ let analyze_impl (kp : K.kprocess) =
         (fun acc ci -> Bdd.or_ mgr acc clocks.(ci))
         (Bdd.zero mgr) cs
   in
+  let deferred =
+    List.map
+      (fun (c, d) ->
+        let bi = eval_done d in
+        Bdd.and_ mgr (Bdd.imp mgr bi clocks.(c)) (Bdd.imp mgr clocks.(c) bi))
+      (List.rev !pending_constraints)
+  in
+  (* the m(m-1)/2 pairwise exclusions of a signal's constants as one
+     chain of 2m nodes, built from its last variable up over two
+     functions of the variables seen so far: [amo], at most one holds,
+     and [none], none holds (what is left once a variable above holds) *)
+  let at_most_one vs =
+    fst
+      (List.fold_right
+         (fun v (amo, none) ->
+           let x = Bdd.var mgr v in
+           let nx = Bdd.not_ mgr x in
+           ( Bdd.or_ mgr (Bdd.and_ mgr x none) (Bdd.and_ mgr nx amo),
+             Bdd.and_ mgr nx none ))
+         vs (Bdd.one mgr, Bdd.one mgr))
+  in
+  let constants = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun (x, _) v ->
+      Hashtbl.replace constants x
+        (v :: Option.value ~default:[] (Hashtbl.find_opt constants x)))
+    eq_vars;
+  let exclusions =
+    Hashtbl.fold
+      (fun _ vs acc ->
+        match List.sort compare vs with _ :: _ :: _ as vs -> vs :: acc | _ -> acc)
+      constants []
+    |> List.sort compare |> List.map at_most_one
+  in
+  let conjuncts = Array.of_list (declared @ deferred @ exclusions) in
+  (* Variable order: the variables no conjunct mentions in discovery
+     order, then first appearance over the conjuncts' supports, in
+     conjunct order; a satellite — a variable whose only conjunct links
+     it to one other variable — moves right behind that partner. A
+     constraint between a presence and a schedule-slot variable then
+     finds both adjacent, and Φ stays linear in replicated subsystems.
+     Φ does not depend on the unmentioned variables, so placing them
+     first leaves it unchanged; a clock query then branches on them
+     before it walks Φ. *)
+  let nvars = !nvars in
+  let supports = Array.map (Bdd.support mgr) conjuncts in
+  let occurs = Array.make nvars 0 and partner = Array.make nvars (-1) in
+  Array.iter
+    (fun sp ->
+      List.iter (fun v -> occurs.(v) <- occurs.(v) + 1) sp;
+      match sp with
+      | [ a; b ] ->
+        partner.(a) <- b;
+        partner.(b) <- a
+      | _ -> ())
+    supports;
+  let satellite v =
+    occurs.(v) = 1 && partner.(v) >= 0 && occurs.(partner.(v)) > 1
+  in
+  let seen = Array.make nvars false and appearance = ref [] in
+  let see v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      appearance := v :: !appearance
+    end
+  in
+  for v = 0 to nvars - 1 do if occurs.(v) = 0 then see v done;
+  Array.iter (List.iter see) supports;
+  (* [!appearance] is reversed, so consing keeps satellites in order *)
+  let satellites = Array.make nvars [] in
   List.iter
-    (fun (c, d) ->
-      let bi = eval_done d in
-      let eq =
-        Bdd.and_ mgr (Bdd.imp mgr bi clocks.(c)) (Bdd.imp mgr clocks.(c) bi)
-      in
-      st.phi <- Bdd.and_ mgr st.phi eq)
-    (List.rev !pending_constraints);
-  st.clocks <- clocks;
-  (* Phase 4: declared + primitive constraints into Φ. *)
-  let clock_of_sig x = clocks.(class_of x) in
+    (fun v ->
+      if satellite v then
+        satellites.(partner.(v)) <- v :: satellites.(partner.(v)))
+    !appearance;
+  let rank = Array.make nvars 0 and order = Array.make nvars 0 in
+  let placed = ref 0 in
+  let put v =
+    rank.(v) <- !placed;
+    order.(!placed) <- v;
+    incr placed
+  in
   List.iter
-    (fun c ->
-      Metrics.incr m_constraints;
-      match c with
-      | K.Ceq _ -> ()
-      | K.Cle (a, b) ->
-        st.phi <-
-          Bdd.and_ mgr st.phi (Bdd.imp mgr (clock_of_sig a) (clock_of_sig b))
-      | K.Cex (a, b) ->
-        st.phi <-
-          Bdd.and_ mgr st.phi
-            (Bdd.not_ mgr (Bdd.and_ mgr (clock_of_sig a) (clock_of_sig b))))
-    (kp.K.kconstraints @ !prim_constraints);
-  if Bdd.is_zero st.phi then
-    st.confl <- "clock constraint system is unsatisfiable" :: st.confl;
-  st
+    (fun v -> if not (satellite v) then (put v; List.iter put satellites.(v)))
+    (List.rev !appearance);
+  let discovered = Array.of_list (List.rev !docs) in
+  (* move clocks and conjuncts into the new order in the same manager,
+     sweep the discovery-order nodes, then conjoin Φ *)
+  let rename = Bdd.rename mgr ~map:rank in
+  let nc = Array.length clocks in
+  let roots = Array.map rename (Array.append clocks conjuncts) in
+  ignore (Bdd.gc mgr ~roots);
+  let phi =
+    Array.fold_left (Bdd.and_ mgr) (Bdd.one mgr)
+      (Array.sub roots nc (Array.length conjuncts))
+  in
+  let confl =
+    if Bdd.is_zero phi then
+      "clock constraint system is unsatisfiable" :: !confl
+    else !confl
+  in
+  { mgr; tab; names; class_ids; reprs; clocks = Array.sub roots 0 nc; phi;
+    confl; var_doc = Array.map (Array.get discovered) order;
+    qmu = Mutex.create () }
 
 (* Analyses are memoized on the kernel's structural digest: the state
-   is only mutated during [analyze_impl], so handing the same [t] to
+   is immutable once [analyze_impl] returns, so handing the same [t] to
    every caller is sound (later query functions touch only the BDD
    manager's caches, not the analysis result). The memo holds its lock
    across a cold analysis, so concurrent callers never analyze one
@@ -517,7 +597,13 @@ let analyze kp =
     Putil.Tracing.with_span "clocks.calculus"
       ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
     @@ fun () ->
-    Metrics.time m_analyze_ns (fun () -> analyze_impl kp)
+    let st = Metrics.time m_analyze_ns (fun () -> analyze_impl kp) in
+    if Putil.Tracing.enabled () then
+      Putil.Tracing.instant "clocks.calculus.result" ~cat:"clocks"
+        ~args:
+          [ ("vars", Putil.Tracing.Aint (Array.length st.var_doc));
+            ("phi_nodes", Putil.Tracing.Aint (Bdd.size st.mgr st.phi)) ];
+    st
   in
   Metrics.set m_signals (K.st_count st.tab);
   Metrics.set m_classes (Array.length st.reprs);
@@ -571,7 +657,8 @@ let clock_of_class_id st c = st.clocks.(c)
 
 let class_id_of st x = class_of_exn st x
 
-let var_kind st v = List.assoc_opt v st.var_doc
+let var_kind st v =
+  if v >= 0 && v < Array.length st.var_doc then Some st.var_doc.(v) else None
 
 let representative st x =
   let c = class_of_exn st x in
@@ -615,7 +702,7 @@ let null_signals st =
 let conflicts st = List.rev st.confl
 
 let pp_var st ppf v =
-  match List.assoc_opt v st.var_doc with
+  match var_kind st v with
   | Some (`Present c) -> Format.fprintf ppf "^%s" st.names.(st.reprs.(c))
   | Some (`Cond b) -> Format.fprintf ppf "[%s]" b
   | Some (`CondEq (x, k)) -> Format.fprintf ppf "[%s=%d]" x k

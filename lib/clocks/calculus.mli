@@ -10,10 +10,22 @@
     - derives one clock function per class from [when] / [default]
       definitions, allocating a free presence variable for classes
       without definitions (inputs) or with recursive definitions;
-    - accumulates declared constraints ([^<], [^#], redundant
-      definitions, primitive-instance contracts) in a context formula Φ;
+    - collects declared constraints ([^<], [^#], redundant
+      definitions, primitive-instance contracts) and one at-most-one
+      chain per integer signal compared with constants, and conjoins
+      them into a context formula Φ;
     - decides emptiness, inclusion and exclusion of clocks relative
-      to Φ, flags contradictions and null-clocked signals. *)
+      to Φ, flags contradictions and null-clocked signals.
+
+    Variables no conjunct of Φ mentions come first, in discovery
+    order; the others are numbered by first appearance over Φ's
+    conjuncts, a variable tied to a single partner right behind it,
+    so that each
+    constraint's variables sit together and Φ grows linearly with
+    replicated subsystems; the clocks derived in discovery order are
+    permuted into that order before Φ is built (DESIGN.md §12,
+    "Clock-calculus variable order"). Verdicts do not depend on the
+    order, only the shape of each clock's BDD does. *)
 
 type t
 

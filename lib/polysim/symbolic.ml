@@ -18,6 +18,8 @@ let m_state_bits = Metrics.gauge "explore.sym.state_bits"
 let m_trans_nodes = Metrics.gauge "explore.sym.trans_nodes"
 let m_peak_nodes = Metrics.gauge "explore.sym.peak_nodes"
 let m_gcs = Metrics.gauge "explore.sym.gc_collections"
+(* nodes surviving the engine's last compacting sweep *)
+let m_live_nodes = Metrics.gauge "bdd.live_nodes"
 let m_check_ns = Metrics.timer "explore.sym.check_ns"
 
 let code_unsupported =
@@ -1073,7 +1075,13 @@ let run_exn ~depth ~inputs ~prop c =
                  !r_set; !front |];
               lay ]
         in
+        let before = Bdd.node_count mgr in
         let live = Bdd.gc mgr ~roots in
+        Metrics.set m_live_nodes live;
+        Tracing.instant "bdd.gc" ~cat:"clocks"
+          ~args:
+            [ ("live", Tracing.Aint live);
+              ("swept", Tracing.Aint (before - live)) ];
         trans := roots.(0);
         bad := roots.(1);
         err_f := roots.(2);

@@ -309,10 +309,73 @@ let test_id () =
   Alcotest.(check bool) "distinct nodes, distinct ids" true
     (Bdd.id a <> Bdd.id x)
 
+(* ---------------- rename: arbitrary variable maps ------------------ *)
+
+let perm_vars = 8
+
+(* a random BDD over at most 8 variables and a random permutation of
+   them (Fisher-Yates over a generated list of swap indices) *)
+let gen_permuted =
+  let open QCheck2.Gen in
+  let perm =
+    map
+      (fun swaps ->
+        let p = Array.init perm_vars Fun.id in
+        List.iteri
+          (fun i j ->
+            let i = perm_vars - 1 - i in
+            let j = j mod (i + 1) in
+            let t = p.(i) in
+            p.(i) <- p.(j);
+            p.(j) <- t)
+          swaps;
+        p)
+      (list_repeat (perm_vars - 1) (int_bound (perm_vars - 1)))
+  in
+  triple (gen_bexp perm_vars) (gen_bexp perm_vars) perm
+
+let inverse p =
+  let q = Array.make (Array.length p) 0 in
+  Array.iteri (fun v pv -> q.(pv) <- v) p;
+  q
+
+let print_permuted (_, _, p) =
+  String.concat " " (Array.to_list (Array.map string_of_int p))
+
+let prop_rename_eval =
+  QCheck2.Test.make ~name:"rename: eval agrees under every assignment"
+    ~count:200 ~print:print_permuted gen_permuted (fun (e, _, p) ->
+      let m = mgr () in
+      let a = to_bdd m e in
+      let b = Bdd.rename m ~map:p a in
+      List.for_all
+        (fun mask ->
+          let env v = (mask lsr v) land 1 = 1 in
+          Bdd.eval m (fun v -> env p.(v)) a = Bdd.eval m env b)
+        (List.init (1 lsl perm_vars) Fun.id))
+
+let prop_rename_inverse =
+  QCheck2.Test.make ~name:"rename by p then by p^-1 is the same node"
+    ~count:200 ~print:print_permuted gen_permuted (fun (e, _, p) ->
+      let m = mgr () in
+      let a = to_bdd m e in
+      let back = Bdd.rename m ~map:(inverse p) (Bdd.rename m ~map:p a) in
+      Bdd.equal a back)
+
+let prop_rename_homomorphism =
+  QCheck2.Test.make ~name:"rename commutes with and_ and not_" ~count:200
+    ~print:print_permuted gen_permuted (fun (e1, e2, p) ->
+      let m = mgr () in
+      let a = to_bdd m e1 and b = to_bdd m e2 in
+      let pi = Bdd.rename m ~map:p in
+      Bdd.equal (pi (Bdd.and_ m a b)) (Bdd.and_ m (pi a) (pi b))
+      && Bdd.equal (pi (Bdd.not_ m a)) (Bdd.not_ m (pi a)))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_semantics; prop_canonical; prop_de_morgan; prop_involution;
-      prop_deciders ]
+      prop_deciders; prop_rename_eval; prop_rename_inverse;
+      prop_rename_homomorphism ]
 
 let suite =
   [ ("bdd",

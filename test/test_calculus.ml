@@ -291,6 +291,87 @@ let prop_random_materialized =
         check_against_materialized kp (Array.to_list names);
         true)
 
+(* ---------------- replicated models ------------------------------ *)
+
+module P = Polychrony.Pipeline
+
+let analyzed ~mode src =
+  match
+    P.analyze ~registry:Polychrony.Case_study.registry_nominal ~mode src
+  with
+  | Ok a -> a
+  | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+
+let replicas3 () = Test_data.read "../examples/prodcons_replicas3.aadl"
+
+(* the same generator's 1-replica model: the committed file minus every
+   line that names the second or third replica *)
+let one_replica src =
+  let mentions l r =
+    match Str.search_forward (Str.regexp_string r) l 0 with
+    | _ -> true
+    | exception Not_found -> false
+  in
+  String.split_on_char '\n' src
+  |> List.filter (fun l ->
+         not (List.exists (mentions l) [ "r0c0a03_1"; "r0c0a03_2" ]))
+  |> String.concat "\n"
+
+(* Φ must not grow with the product of the replicas: limits are node
+   counts, deterministic for a given model, taken on a fresh analysis
+   (a renamed kernel misses the memo) before any query grows the
+   manager *)
+let test_replicas_scaling mode () =
+  let whole a =
+    let c = C.analyze (renamed a.P.kernel "_scaling") in
+    (Bdd.node_count (C.manager c), Bdd.size (C.manager c) (C.context c))
+  in
+  let a3 = analyzed ~mode (replicas3 ()) in
+  let a1 = analyzed ~mode (one_replica (replicas3 ())) in
+  let nodes3, phi3 = whole a3 and _, phi1 = whole a1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "manager nodes %d <= 20000" nodes3)
+    true (nodes3 <= 20_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "phi %d <= 5 x %d" phi3 phi1) true (phi3 <= 5 * phi1);
+  let verdicts a =
+    (a.P.determinism.Analysis.Determinism.deterministic,
+     a.P.deadlock.Analysis.Deadlock.deadlock_free)
+  in
+  Alcotest.(check (pair bool bool)) "determinism, deadlock-freedom"
+    (verdicts a1) (verdicts a3)
+
+(* the [analyze] report up to its run metrics, pinned across changes to
+   the calculus's variable order *)
+let report_golden name ?file (mode, mode_name) () =
+  let src =
+    match file with
+    | Some f -> Test_data.read f
+    | None -> Polychrony.Case_study.aadl_source
+  in
+  let report = Format.asprintf "%a@." P.pp_summary (analyzed ~mode src) in
+  let cut =
+    Str.search_forward (Str.regexp_string "== run metrics ==") report 0
+  in
+  Alcotest.(check string) "report before run metrics"
+    (Test_data.read
+       (Printf.sprintf "corpus/golden/analyze_%s_%s.txt" name mode_name))
+    (String.sub report 0 cut)
+
+let report_goldens =
+  List.concat_map
+    (fun (name, file) ->
+      List.map
+        (fun ((_, m) as mode) ->
+          Alcotest.test_case
+            (Printf.sprintf "golden %s report: %s" m name)
+            `Quick (report_golden name ?file mode))
+        [ (Trans.System_trans.Embedded, "embedded");
+          (Trans.System_trans.External, "external") ])
+    [ ("case_study", None);
+      ("producer_consumer", Some "../examples/producer_consumer.aadl");
+      ("prodcons_replicas3", Some "../examples/prodcons_replicas3.aadl") ]
+
 let suite =
   [ ("calculus",
      [ Alcotest.test_case "sync classes" `Quick test_sync_classes;
@@ -312,4 +393,9 @@ let suite =
        Alcotest.test_case "summary printer" `Quick test_pp_summary_runs;
        Alcotest.test_case "case-study decisions = materialized" `Quick
          test_case_study_materialized;
-       QCheck_alcotest.to_alcotest prop_random_materialized ]) ]
+       QCheck_alcotest.to_alcotest prop_random_materialized;
+       Alcotest.test_case "Embedded: 3 replicas scale linearly" `Quick
+         (test_replicas_scaling Trans.System_trans.Embedded);
+       Alcotest.test_case "External: 3 replicas scale linearly" `Quick
+         (test_replicas_scaling Trans.System_trans.External) ]
+     @ report_goldens) ]

@@ -169,6 +169,42 @@ let case_study_analyzed () =
   | Ok a -> a
   | Error _ -> Alcotest.fail "case study does not analyze"
 
+(* a cold calculus reports its size inside its span, so a trace
+   explains a slow one *)
+let test_calculus_result_instant () =
+  let evs =
+    with_fresh_trace @@ fun () ->
+    Clocks.Calculus.reset_cache ();
+    ignore (case_study_analyzed ());
+    T.set_enabled false;
+    List.concat_map snd (T.events ())
+  in
+  (* the instant at the calculus span's own depth, before its End *)
+  let rec in_span d = function
+    | T.Inst { name = "clocks.calculus.result"; args; _ } :: _ when d = 0 ->
+      Some args
+    | T.Begin _ :: rest -> in_span (d + 1) rest
+    | T.End _ :: rest -> if d = 0 then None else in_span (d - 1) rest
+    | _ :: rest -> in_span d rest
+    | [] -> None
+  in
+  let rec find = function
+    | T.Begin { name = "clocks.calculus"; _ } :: rest -> (
+      match in_span 0 rest with Some args -> Some args | None -> find rest)
+    | _ :: rest -> find rest
+    | [] -> None
+  in
+  match find evs with
+  | None -> Alcotest.fail "no clocks.calculus.result instant in a calculus"
+  | Some args ->
+    List.iter
+      (fun k ->
+        match List.assoc_opt k args with
+        | Some (T.Aint n) ->
+          Alcotest.(check bool) (k ^ " positive") true (n > 0)
+        | _ -> Alcotest.failf "result instant lacks %s" k)
+      [ "vars"; "phi_nodes" ]
+
 let test_chrome_case_study () =
   let chrome =
     with_fresh_trace @@ fun () ->
@@ -503,6 +539,8 @@ let suite =
          test_span_closes_on_raise;
        Alcotest.test_case "disabled records nothing" `Quick
          test_disabled_records_nothing;
+       Alcotest.test_case "calculus span reports its size" `Quick
+         test_calculus_result_instant;
        Alcotest.test_case "flight ring mirrors the trace" `Quick
          test_flight_ring_mirrors_trace;
        Alcotest.test_case "chrome export of the case study" `Quick
