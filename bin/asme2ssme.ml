@@ -447,7 +447,10 @@ let codegen_cmd =
   in
   let run file root registry policy out =
     let a = analyzed file root registry policy in
-    match Polysim.Compile.compile a.Polychrony.Pipeline.kernel with
+    match
+      Polysim.Compile.compile ~digest:a.Polychrony.Pipeline.kernel_digest
+        a.Polychrony.Pipeline.kernel
+    with
     | Error m ->
       prerr_endline ("error: " ^ m);
       exit 1

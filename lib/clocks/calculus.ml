@@ -589,8 +589,8 @@ let analyze_impl (kp : K.kprocess) =
 let memo : t Putil.Memo.t =
   Putil.Memo.create ~stage:"pipeline" Putil.Memo.Cache ~cap:256 ~store:None
 
-let analyze kp =
-  let dg = K.digest kp in
+let analyze ?digest kp =
+  let dg = match digest with Some d -> d | None -> K.digest kp in
   Putil.Memo.get memo ~name:dg ~key:dg @@ fun () ->
   Metrics.incr m_analyses;
   let st =

@@ -29,8 +29,9 @@
 
 type t
 
-val analyze : Signal_lang.Kernel.kprocess -> t
-(** Analyze a kernel process. Memoized on {!Signal_lang.Kernel.digest}:
+val analyze : ?digest:string -> Signal_lang.Kernel.kprocess -> t
+(** Analyze a kernel process. Memoized on {!Signal_lang.Kernel.digest}
+    (a caller that already holds it passes it as [digest]):
     structurally equal processes share one analysis (and one BDD
     manager), so repeated pipeline runs pay for the clock calculus
     once. The memo is a process-global {!Putil.Memo} of 256 entries,

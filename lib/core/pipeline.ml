@@ -35,6 +35,7 @@ type analyzed = {
   instance : Aadl.Instance.t;
   translation : Trans.System_trans.output;
   kernel : K.kprocess;
+  kernel_digest : string;
   glue_kernel : K.kprocess;
   links : Signal_lang.Normalize.link list;
   proc_analyses : (string * proc_analysis) list;
@@ -373,8 +374,8 @@ let model_key program m =
    interface for the glue analysis. Everything asserted about the
    interface is provable from the model alone, hence sound under any
    composition (composition only adds constraints). *)
-let proc_analysis_of km =
-  let calc = Clocks.Calculus.analyze km in
+let proc_analysis_of ?digest km =
+  let calc = Clocks.Calculus.analyze ?digest km in
   let det = Analysis.Determinism.analyze calc km in
   let dl = Analysis.Deadlock.analyze ~calc km in
   let nulls = Clocks.Calculus.null_signals calc in
@@ -463,8 +464,8 @@ let glue_with_summaries glue (links : Signal_lang.Normalize.link list) pas =
       K.kconstraints = glue.K.kconstraints @ List.rev !extra_constraints },
     List.rev !extra_edges )
 
-let glue_analysis_of glue extra_edges =
-  let calc = Clocks.Calculus.analyze glue in
+let glue_analysis_of ?digest glue extra_edges =
+  let calc = Clocks.Calculus.analyze ?digest glue in
   { ga_consistent = Clocks.Calculus.consistent calc;
     ga_conflicts = Clocks.Calculus.conflicts calc;
     ga_null = Clocks.Calculus.null_signals calc;
@@ -721,31 +722,37 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                   (fun name ->
                     Option.map
                       (fun km ->
+                        let digest = K.digest km in
                         ( name,
-                          Memo.get m.panas ~name ~key:(K.digest km)
-                            (fun () -> proc_analysis_of km) ))
+                          Memo.get m.panas ~name ~key:digest
+                            (fun () -> proc_analysis_of ~digest km) ))
                       (List.assoc_opt name n.n_models))
                   model_names
               in
               let glue', extra_edges =
                 glue_with_summaries n.n_glue n.n_links pas
               in
+              let digest = K.digest glue' in
               let ga =
                 Memo.get m.glue ~name:"glue"
-                  ~key:(digest_of (K.digest glue', extra_edges))
-                  (fun () -> glue_analysis_of glue' extra_edges)
+                  ~key:(digest_of (digest, extra_edges))
+                  (fun () -> glue_analysis_of ~digest glue' extra_edges)
               in
               merge_analyses ~stubbed n.n_links pas ga)
         in
           Putil.Diag.add_list diags an.a_diags;
-        let calc = lazy (Clocks.Calculus.analyze kernel) in
+        (* bound outside the lazy, which must not capture [n] *)
+        let kernel_digest = n.n_kdigest in
+        let calc =
+          lazy (Clocks.Calculus.analyze ~digest:kernel_digest kernel)
+        in
         let hierarchy = lazy (Clocks.Hierarchy.build (Lazy.force calc)) in
         let clocked_decls =
           lazy (Clocks.Calculus.clocked_decls (Lazy.force calc))
         in
         Ok
           { package = pkg; aadl_issues; instance; translation; kernel;
-            glue_kernel = n.n_glue; links = n.n_links;
+            kernel_digest; glue_kernel = n.n_glue; links = n.n_links;
             proc_analyses = an.a_procs; glue = an.a_glue; typed_program;
             clocked_decls; calc; hierarchy;
             determinism = an.a_determinism; deadlock = an.a_deadlock;
@@ -902,7 +909,10 @@ let stimulus_at_fn a env =
    cannot be built is COMPILE-001, and nothing else is: {!simulate}
    falls back on that code. *)
 let run_compiled a ~horizon ~scenarios stimulus_of =
-  match Polysim.Compile.compile_scenarios a.kernel ~scenarios with
+  match
+    Polysim.Compile.compile_scenarios ~digest:a.kernel_digest a.kernel
+      ~scenarios
+  with
   | Error m ->
     Error [ Putil.Diag.errorf ~code:code_compile "compile: %s" m ]
   | Ok c -> (
@@ -1080,7 +1090,7 @@ let pp_summary ppf a =
     Analysis.Determinism.pp_report a.determinism;
   Format.fprintf ppf "@,== deadlock ==@,%a@," Analysis.Deadlock.pp_report
     a.deadlock;
-  (match Polysim.Compile.compile a.kernel with
+  (match Polysim.Compile.compile ~digest:a.kernel_digest a.kernel with
    | Ok c ->
      let free = Polysim.Compile.free_classes c in
      if free = 0 then

@@ -45,6 +45,8 @@ type analyzed = {
   instance : Aadl.Instance.t;
   translation : Trans.System_trans.output;
   kernel : Signal_lang.Kernel.kprocess;   (** normalized top process *)
+  kernel_digest : string;
+      (** {!Signal_lang.Kernel.digest} of [kernel], computed once *)
   glue_kernel : Signal_lang.Kernel.kprocess;
       (** host-side abstraction of [kernel]: spliced model content
           omitted, model outputs free (see

@@ -499,10 +499,24 @@ let check_computed st y =
     errf "instant %d: signal %s used before being computed"
       st.instants st.prog.Prog.names.(y)
 
-let compile_impl kp =
+(* [0 .. n-1] in [String.compare] order of their decimal names: the
+   preorder of the digit trie, each number before its extensions *)
+let decimal_order n =
+  let acc = ref [] in
+  let rec visit x =
+    if x < n then begin
+      acc := x :: !acc;
+      for d = 0 to 9 do visit ((10 * x) + d) done
+    end
+  in
+  if n > 0 then acc := [ 0 ];
+  for d = 1 to 9 do visit d done;
+  Array.of_list (List.rev !acc)
+
+let compile_impl ?digest kp =
   try
     let prog = Prog.of_kprocess kp in
-    let calc = Calc.analyze kp in
+    let calc = Calc.analyze ?digest kp in
     if not (Calc.consistent calc) then
       errf "clock constraint system is unsatisfiable";
     let nsignals = prog.Prog.n in
@@ -526,20 +540,24 @@ let compile_impl kp =
     let mgr = Calc.manager calc in
     (* [Bdd.support] walks the shared manager's node arrays; take the
        analysis query lock so concurrent sessions querying the same
-       memoized calculus can't grow them under us. *)
-    Calc.with_query_lock calc (fun () ->
-        for c = 0 to nclasses - 1 do
-          let support = Bdd.support mgr clock_bdd.(c) in
-          let refers_self =
-            List.exists
-              (fun v ->
-                match Calc.var_kind calc v with
-                | Some (`Present c') -> c' = c
-                | _ -> false)
-              support
-          in
-          pdefs.(c) <- (if refers_self then Pfree else Pderived)
-        done);
+       memoized calculus can't grow them under us. One walk per class
+       serves every use below. *)
+    let supports =
+      Calc.with_query_lock calc (fun () ->
+          Array.map (Bdd.support mgr) clock_bdd)
+    in
+    Array.iteri
+      (fun c support ->
+        let refers_self =
+          List.exists
+            (fun v ->
+              match Calc.var_kind calc v with
+              | Some (`Present c') -> c' = c
+              | _ -> false)
+            support
+        in
+        pdefs.(c) <- (if refers_self then Pfree else Pderived))
+      supports;
     (* stateful primitive outputs override *)
     let stateful_outs lp =
       match lp.Prog.lp_ki.K.ki_prim with
@@ -600,61 +618,58 @@ let compile_impl kp =
     (* resolve every bdd variable appearing in a clock function once,
        so evaluation never consults a name table *)
     let max_var =
-      Array.fold_left
-        (fun acc b ->
-          List.fold_left max acc (Bdd.support mgr b))
-        (-1) clock_bdd
+      Array.fold_left (List.fold_left max) (-1) supports
     in
     let bddvars = Array.make (max_var + 1) Rnone in
     Array.iter
-      (fun b ->
-        List.iter
-          (fun v ->
-            match Calc.var_kind calc v with
-            | Some (`Present c) -> bddvars.(v) <- Rpresent c
-            | Some (`Cond bsig) -> bddvars.(v) <- Rcond (index bsig)
-            | Some (`CondEq (x, k)) -> bddvars.(v) <- Rcondeq (index x, k)
-            | None -> ())
-          (Bdd.support mgr b))
-      clock_bdd;
-    (* dependency graph over presence/value nodes *)
-    let g = Analysis.Digraph.create () in
-    let pnode c = "P" ^ string_of_int c in
-    let vnode i = "V" ^ string_of_int i in
-    for c = 0 to nclasses - 1 do
-      Analysis.Digraph.add_vertex g (pnode c)
-    done;
+      (List.iter (fun v ->
+           match Calc.var_kind calc v with
+           | Some (`Present c) -> bddvars.(v) <- Rpresent c
+           | Some (`Cond bsig) -> bddvars.(v) <- Rcond (index bsig)
+           | Some (`CondEq (x, k)) -> bddvars.(v) <- Rcondeq (index x, k)
+           | None -> ()))
+      supports;
+    (* dependency graph over presence nodes [c] and value nodes
+       [nclasses + i], ordered as the names "P<c>" and "V<i>" sort:
+       that order fixes the plan, the generated C and the cycle
+       reported below *)
+    let g =
+      Analysis.Digraph.Indexed.create
+        ~order:
+          (Array.append (decimal_order nclasses)
+             (Array.map (( + ) nclasses) (decimal_order nsignals)))
+    in
+    let pnode c = c and vnode i = nclasses + i in
+    let edge = Analysis.Digraph.Indexed.add_edge g in
     for i = 0 to nsignals - 1 do
-      Analysis.Digraph.add_vertex g (vnode i);
       (* a value needs its class presence *)
-      Analysis.Digraph.add_edge g (pnode class_of.(i)) (vnode i)
+      edge (pnode class_of.(i)) (vnode i)
     done;
     for c = 0 to nclasses - 1 do
       match pdefs.(c) with
       | Pfree -> ()
       | Pinput _ -> ()
-      | Palias src -> Analysis.Digraph.add_edge g (pnode src) (pnode c)
+      | Palias src -> edge (pnode src) (pnode c)
       | Pprim (pi, _) ->
         Array.iter
-          (fun i -> Analysis.Digraph.add_edge g (pnode class_of.(i)) (pnode c))
+          (fun i -> edge (pnode class_of.(i)) (pnode c))
           lprims.(pi).Prog.lp_ins
       | Pderived ->
         List.iter
           (fun v ->
             match bddvars.(v) with
-            | Rpresent c' ->
-              if c' <> c then Analysis.Digraph.add_edge g (pnode c') (pnode c)
+            | Rpresent c' -> if c' <> c then edge (pnode c') (pnode c)
             | Rcond bi ->
-              Analysis.Digraph.add_edge g (vnode bi) (pnode c);
-              Analysis.Digraph.add_edge g (pnode class_of.(bi)) (pnode c)
+              edge (vnode bi) (pnode c);
+              edge (pnode class_of.(bi)) (pnode c)
             | Rcondeq (xi, _) ->
-              Analysis.Digraph.add_edge g (vnode xi) (pnode c);
-              Analysis.Digraph.add_edge g (pnode class_of.(xi)) (pnode c)
+              edge (vnode xi) (pnode c);
+              edge (pnode class_of.(xi)) (pnode c)
             | Rnone -> ())
-          (Bdd.support mgr clock_bdd.(c))
+          supports.(c)
     done;
     let dep_atom dst = function
-      | Prog.Avar y -> Analysis.Digraph.add_edge g (vnode y) (vnode dst)
+      | Prog.Avar y -> edge (vnode y) (vnode dst)
       | Prog.Aconst _ -> ()
     in
     for i = 0 to nsignals - 1 do
@@ -666,33 +681,33 @@ let compile_impl kp =
         dep_atom i l;
         dep_atom i r;
         (match l with
-         | Prog.Avar y ->
-           Analysis.Digraph.add_edge g (pnode class_of.(y)) (vnode i)
+         | Prog.Avar y -> edge (pnode class_of.(y)) (vnode i)
          | Prog.Aconst _ -> ());
         (match r with
-         | Prog.Avar y ->
-           Analysis.Digraph.add_edge g (pnode class_of.(y)) (vnode i)
+         | Prog.Avar y -> edge (pnode class_of.(y)) (vnode i)
          | Prog.Aconst _ -> ())
       | Prog.Vprim (pi, _) ->
         Array.iter
           (fun j ->
-            Analysis.Digraph.add_edge g (vnode j) (vnode i);
-            Analysis.Digraph.add_edge g (pnode class_of.(j)) (vnode i))
+            edge (vnode j) (vnode i);
+            edge (pnode class_of.(j)) (vnode i))
           lprims.(pi).Prog.lp_ins
     done;
+    let node_name k =
+      if k < nclasses then "P" ^ string_of_int k
+      else "V" ^ string_of_int (k - nclasses)
+    in
     let order =
-      match Analysis.Digraph.topological_sort g with
+      match Analysis.Digraph.Indexed.topological_sort g with
       | Ok order -> order
       | Error cycle ->
         errf "causality cycle prevents compilation: %s"
-          (String.concat " -> " cycle)
+          (String.concat " -> " (List.map node_name cycle))
     in
     let plan =
       Array.of_list
         (List.map
-           (fun node ->
-             let k = int_of_string (String.sub node 1 (String.length node - 1)) in
-             if node.[0] = 'P' then Opres k else Oval k)
+           (fun k -> if k < nclasses then Opres k else Oval (k - nclasses))
            order)
     in
     (* ---- compile the schedule to closures over the SoA state ---- *)
@@ -1036,13 +1051,13 @@ let plan_memo : (plan, string) result Putil.Memo.t =
 
 (* every plan build, memoized or not: one [compile.plan] span, timed
    into [compile_ns], with the plan gauges recorded on success *)
-let build_plan kp =
+let build_plan ?digest kp =
   Metrics.incr m_plan_builds;
   let r =
     Putil.Tracing.with_span "compile.plan"
       ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
     @@ fun () ->
-    Metrics.time m_compile_ns (fun () -> compile_impl kp)
+    Metrics.time m_compile_ns (fun () -> compile_impl ?digest kp)
   in
   (match r with
    | Ok pl ->
@@ -1057,9 +1072,10 @@ let build_plan kp =
    | Error _ -> ());
   r
 
-let plan_of_digest kp =
-  let dg = K.digest kp in
-  Putil.Memo.get plan_memo ~name:dg ~key:dg @@ fun () -> build_plan kp
+let plan_of_digest ?digest kp =
+  let dg = match digest with Some d -> d | None -> K.digest kp in
+  Putil.Memo.get plan_memo ~name:dg ~key:dg @@ fun () ->
+  build_plan ~digest:dg kp
 
 (* Physical-equality fast path over the digest memo: re-instantiating
    the same in-memory kernel (the common case in batched and
@@ -1067,23 +1083,23 @@ let plan_of_digest kp =
 let plan_last : (K.kprocess * (plan, string) result) option Atomic.t =
   Atomic.make None
 
-let plan_of kp =
+let plan_of ?digest kp =
   match Atomic.get plan_last with
   | Some (kp0, r) when kp0 == kp -> Metrics.incr m_cache_hits; r
   | _ ->
-    let r = plan_of_digest kp in
+    let r = plan_of_digest ?digest kp in
     Atomic.set plan_last (Some (kp, r));
     r
 
-let compile kp =
+let compile ?digest kp =
   Metrics.incr m_compilations;
-  Result.map (fun pl -> instantiate pl) (plan_of kp)
+  Result.map (fun pl -> instantiate pl) (plan_of ?digest kp)
 
-let compile_scenarios kp ~scenarios =
+let compile_scenarios ?digest kp ~scenarios =
   if scenarios < 1 then Error "scenarios must be >= 1"
   else begin
     Metrics.incr m_compilations;
-    Result.map (fun pl -> instantiate ~scenarios pl) (plan_of kp)
+    Result.map (fun pl -> instantiate ~scenarios pl) (plan_of ?digest kp)
   end
 
 let compile_uncached kp =

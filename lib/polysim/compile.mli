@@ -34,10 +34,12 @@
 
 type t
 
-val compile : Signal_lang.Kernel.kprocess -> (t, string) result
+val compile :
+  ?digest:string -> Signal_lang.Kernel.kprocess -> (t, string) result
 (** Compile, or fetch the memoized compilation. The expensive immutable
     part — clock analysis, clock BDDs, the toposorted execution plan
     compiled to closures — is cached on {!Signal_lang.Kernel.digest}
+    ([digest], when the caller already holds it, saves computing it)
     (with a physical-equality fast path for repeated compiles of the
     same in-memory kernel) and shared between all instances of a
     kernel; each call returns a fresh mutable instance (own delay
@@ -47,7 +49,8 @@ val compile : Signal_lang.Kernel.kprocess -> (t, string) result
     plan is read-only at step time). *)
 
 val compile_scenarios :
-  Signal_lang.Kernel.kprocess -> scenarios:int -> (t, string) result
+  ?digest:string -> Signal_lang.Kernel.kprocess -> scenarios:int ->
+  (t, string) result
 (** Like {!compile}, but the instance carries [scenarios] independent
     copies of the mutable state (delay registers, FIFO queues,
     presence bits, stimulus buffer, trace) in scenario-striped

@@ -45,9 +45,13 @@ let atom_type env = function
 
 let signals kp = kp.kinputs @ kp.koutputs @ kp.klocals
 
+let m_digests = Putil.Metrics.counter "kernel.digests"
+
 (* kprocess is pure data (strings, values, lists), so a structural
    marshalling is a faithful canonical form *)
-let digest kp = Digest.string (Marshal.to_string kp [ Marshal.No_sharing ])
+let digest kp =
+  Putil.Metrics.incr m_digests;
+  Digest.string (Marshal.to_string kp [ Marshal.No_sharing ])
 
 (* ------------------------------------------------------------------ *)
 (* Indexed signal table                                                *)

@@ -72,6 +72,202 @@ let test_reachable () =
   G.add_edge g "d" "a";
   Alcotest.(check (list string)) "from a" [ "b"; "c" ] (G.reachable g "a")
 
+(* The string-keyed implementation the int-indexed one replaced, kept
+   verbatim as the reference its queries must equal, order included. *)
+module Ref = struct
+  type t = {
+    adj : (string, (string, unit) Hashtbl.t) Hashtbl.t;
+    mutable edges : int;
+  }
+
+  let create () = { adj = Hashtbl.create 64; edges = 0 }
+
+  let add_vertex g v =
+    if not (Hashtbl.mem g.adj v) then Hashtbl.add g.adj v (Hashtbl.create 4)
+
+  let add_edge g a b =
+    add_vertex g a;
+    add_vertex g b;
+    let succ = Hashtbl.find g.adj a in
+    if not (Hashtbl.mem succ b) then begin
+      Hashtbl.add succ b ();
+      g.edges <- g.edges + 1
+    end
+
+  let vertices g =
+    Hashtbl.fold (fun v _ acc -> v :: acc) g.adj []
+    |> List.sort String.compare
+
+  let successors g v =
+    match Hashtbl.find_opt g.adj v with
+    | None -> []
+    | Some succ ->
+      Hashtbl.fold (fun w () acc -> w :: acc) succ []
+      |> List.sort String.compare
+
+  let edge_count g = g.edges
+
+  (* Tarjan's algorithm, iterative-friendly sizes here are small so the
+     recursive version is fine (depth bounded by vertex count). *)
+  let sccs g =
+    let index = Hashtbl.create 64 in
+    let lowlink = Hashtbl.create 64 in
+    let on_stack = Hashtbl.create 64 in
+    let stack = ref [] in
+    let counter = ref 0 in
+    let components = ref [] in
+    let rec strongconnect v =
+      Hashtbl.replace index v !counter;
+      Hashtbl.replace lowlink v !counter;
+      incr counter;
+      stack := v :: !stack;
+      Hashtbl.replace on_stack v ();
+      List.iter
+        (fun w ->
+          if not (Hashtbl.mem index w) then begin
+            strongconnect w;
+            Hashtbl.replace lowlink v
+              (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+          end
+          else if Hashtbl.mem on_stack w then
+            Hashtbl.replace lowlink v
+              (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
+        (successors g v);
+      if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+        let rec pop acc =
+          match !stack with
+          | [] -> acc
+          | w :: rest ->
+            stack := rest;
+            Hashtbl.remove on_stack w;
+            if String.equal w v then w :: acc else pop (w :: acc)
+        in
+        components := pop [] :: !components
+      end
+    in
+    List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v)
+      (vertices g);
+    List.rev !components
+
+  let has_self_loop g v = List.mem v (successors g v)
+
+  let nontrivial_sccs g =
+    List.filter
+      (fun comp ->
+        match comp with
+        | [ v ] -> has_self_loop g v
+        | _ -> List.length comp > 1)
+      (sccs g)
+
+  let topological_sort g =
+    match nontrivial_sccs g with
+    | cycle :: _ -> Error cycle
+    | [] ->
+      (* Tarjan emits an SCC before every SCC that can reach it, so the
+         flattened emission order lists successors first; reversing gives
+         sources before targets. *)
+      Ok (List.rev (List.concat (sccs g)))
+
+  let reachable g v =
+    let seen = Hashtbl.create 16 in
+    let rec go w =
+      List.iter
+        (fun s ->
+          if not (Hashtbl.mem seen s) then begin
+            Hashtbl.replace seen s ();
+            go s
+          end)
+        (successors g w)
+    in
+    go v;
+    Hashtbl.fold (fun w () acc -> w :: acc) seen [] |> List.sort String.compare
+end
+
+(* names whose string order disagrees with their numeric order *)
+let graph_names =
+  [| "P2"; "P10"; "P1"; "P0"; "P11"; "V1"; "V10"; "V2"; "V0"; "x" |]
+
+type graph_op = Vertex of int | Edge of int * int | Query
+
+let gen_graph_ops =
+  let open QCheck2.Gen in
+  let name = int_bound (Array.length graph_names - 1) in
+  list_size (int_bound 40)
+    (frequency
+       [ (1, map (fun v -> Vertex v) name);
+         (8, map2 (fun a b -> Edge (a, b)) name name);
+         (1, pure Query) ])
+
+let print_graph_op = function
+  | Vertex v -> "vertex " ^ graph_names.(v)
+  | Edge (a, b) -> graph_names.(a) ^ " -> " ^ graph_names.(b)
+  | Query -> "query"
+
+(* every query on both graphs, as one comparable value; the unknown
+   name "nope" is asked too *)
+let graph_queries vertices successors edge_count sccs nontrivial topo
+    reachable g =
+  let probe = vertices g @ [ "nope" ] in
+  ( vertices g,
+    List.map (successors g) probe,
+    edge_count g,
+    (sccs g, nontrivial g),
+    topo g,
+    List.map (reachable g) probe )
+
+let prop_digraph_matches_reference =
+  QCheck2.Test.make ~name:"digraph queries = string reference" ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map print_graph_op ops))
+    gen_graph_ops
+    (fun ops ->
+      let g = G.create () and r = Ref.create () in
+      let same () =
+        graph_queries G.vertices G.successors G.edge_count G.sccs
+          G.nontrivial_sccs G.topological_sort G.reachable g
+        = graph_queries Ref.vertices Ref.successors Ref.edge_count Ref.sccs
+            Ref.nontrivial_sccs Ref.topological_sort Ref.reachable r
+      in
+      List.for_all
+        (function
+          | Vertex v ->
+            G.add_vertex g graph_names.(v);
+            Ref.add_vertex r graph_names.(v);
+            true
+          | Edge (a, b) ->
+            G.add_edge g graph_names.(a) graph_names.(b);
+            Ref.add_edge r graph_names.(a) graph_names.(b);
+            true
+          | Query -> same ())
+        ops
+      && same ())
+
+(* the int graph in a given order sorts as the string graph whose
+   names sort in that order *)
+let prop_indexed_matches_reference =
+  QCheck2.Test.make ~name:"indexed topological sort = string reference"
+    ~count:500
+    QCheck2.Gen.(
+      pair (int_range 1 12)
+        (list_size (int_bound 30) (pair (int_bound 11) (int_bound 11))))
+    (fun (n, edges) ->
+      let name i = "V" ^ string_of_int i in
+      let order = Array.init n Fun.id in
+      Array.sort (fun a b -> String.compare (name a) (name b)) order;
+      let g = G.Indexed.create ~order and r = Ref.create () in
+      for i = 0 to n - 1 do Ref.add_vertex r (name i) done;
+      List.iter
+        (fun (a, b) ->
+          if a < n && b < n then begin
+            G.Indexed.add_edge g a b;
+            Ref.add_edge r (name a) (name b)
+          end)
+        edges;
+      let names = List.map name in
+      (match G.Indexed.topological_sort g with
+       | Ok o -> Ok (names o)
+       | Error c -> Error (names c))
+      = Ref.topological_sort r)
+
 (* ----------------------------- deadlock --------------------------- *)
 
 let test_deadlock_free () =
@@ -237,7 +433,9 @@ let suite =
        Alcotest.test_case "sccs" `Quick test_sccs;
        Alcotest.test_case "self loop" `Quick test_self_loop;
        Alcotest.test_case "topological sort" `Quick test_topo_sort;
-       Alcotest.test_case "reachable" `Quick test_reachable ]);
+       Alcotest.test_case "reachable" `Quick test_reachable;
+       QCheck_alcotest.to_alcotest prop_digraph_matches_reference;
+       QCheck_alcotest.to_alcotest prop_indexed_matches_reference ]);
     ("deadlock",
      [ Alcotest.test_case "deadlock-free with delay" `Quick test_deadlock_free;
        Alcotest.test_case "instantaneous cycle" `Quick test_deadlock_cycle;

@@ -298,6 +298,29 @@ let test_moded_c () =
   in
   differential ~label:"moded" a.Polychrony.Pipeline.kernel stimuli
 
+(* The plan order, and so the generated C, follows the dependency
+   graph's vertex names, "P<class>" and "V<signal>" in string order
+   (P10 before P2). Twelve independent chains make that order differ
+   from the numeric one; the golden was generated before the graph
+   moved to int vertices. *)
+let test_plan_order_c () =
+  let n = 12 in
+  let name p k = Printf.sprintf "%s%d" p k in
+  let p =
+    B.proc ~name:"order"
+      ~inputs:(List.init n (fun k -> Ast.var (name "x" k) Types.Tint))
+      ~outputs:(List.init n (fun k -> Ast.var (name "y" k) Types.Tint))
+      (List.init n (fun k -> B.(name "y" k := v (name "x" k) + i 1)))
+  in
+  match Compile.compile (N.process_exn p) with
+  | Error m -> Alcotest.fail m
+  | Ok c -> (
+    match Compile.to_c c with
+    | Error m -> Alcotest.fail m
+    | Ok src ->
+      Alcotest.(check string) "generated C"
+        (Test_data.read "corpus/golden/codegen_plan_order.c") src)
+
 let suite =
   [ ("codegen_c",
      [ Alcotest.test_case "counter" `Quick test_counter_c;
@@ -305,4 +328,6 @@ let suite =
        Alcotest.test_case "fifo" `Quick test_fifo_c;
        Alcotest.test_case "timer" `Quick test_timer_c;
        Alcotest.test_case "full case study" `Quick test_case_study_c;
-       Alcotest.test_case "mode automaton" `Quick test_moded_c ]) ]
+       Alcotest.test_case "mode automaton" `Quick test_moded_c;
+       Alcotest.test_case "plan order follows names" `Quick
+         test_plan_order_c ]) ]

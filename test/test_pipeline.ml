@@ -271,13 +271,42 @@ let test_compile_fallback () =
       (Trace.equal got want)
   | Error m -> Alcotest.fail (Putil.Diag.list_to_string m)
 
+(* a cold analysis marshals each kernel it analyzes once: the whole
+   kernel in normalize, each model kernel and the glue kernel in the
+   analyses stage; the calculus, the summary and the compiler are
+   handed those digests *)
+let test_kernel_digested_once () =
+  let digests () =
+    Putil.Metrics.counter_value Putil.Metrics.global "kernel.digests"
+  in
+  let before = digests () in
+  let a =
+    match
+      P.analyze ~session:(P.new_session ()) ~registry:CS.registry_nominal
+        CS.aadl_source
+    with
+    | Ok a -> a
+    | Error m -> Alcotest.fail (Putil.Diag.list_to_string m)
+  in
+  ignore (Format.asprintf "%a" P.pp_summary a);
+  (match Polysim.Compile.compile ~digest:a.P.kernel_digest a.P.kernel with
+   | Ok _ -> ()
+   | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "the case study has model kernels" true
+    (a.P.proc_analyses <> []);
+  Alcotest.(check int) "whole kernel, model kernels and glue, once each"
+    (List.length a.P.proc_analyses + 2)
+    (digests () - before)
+
 let suite =
   [ ("pipeline.analysis",
      [ Alcotest.test_case "clean analysis" `Quick test_analyze_clean;
        Alcotest.test_case "clock scale" `Quick test_clock_scale;
        Alcotest.test_case "default root" `Quick test_default_root_detection;
        Alcotest.test_case "base ticks" `Quick test_base_ticks;
-       Alcotest.test_case "summary" `Quick test_summary_renders ]);
+       Alcotest.test_case "summary" `Quick test_summary_renders;
+       Alcotest.test_case "each kernel digested once" `Quick
+         test_kernel_digested_once ]);
     ("pipeline.simulation",
      [ Alcotest.test_case "producer/consumer flow" `Quick
          test_producer_consumer_flow;
