@@ -29,7 +29,7 @@ let errf fmt = Format.kasprintf (fun m -> raise (Comp_error m)) fmt
 type pdef =
   | Pinput of int list             (* input signal indices in the class *)
   | Pprim of int * int             (* primitive index, output position *)
-  | Pderived                       (* evaluate the clock function *)
+  | Pderived of int                (* walk the clock DAG from this root *)
   | Palias of int                  (* mirror another class's presence *)
   | Pfree                          (* default to absent *)
 
@@ -37,22 +37,29 @@ type op =
   | Opres of int
   | Oval of int
 
-(* BDD variable, resolved at compile time so the per-instant clock
-   evaluation is pure array indexing *)
+(* what a clock-DAG node tests, resolved from its BDD variable at plan
+   time so the per-instant walk is pure array indexing *)
 type varres =
   | Rpresent of int                (* class id *)
   | Rcond of int                   (* boolean signal index *)
   | Rcondeq of int * int           (* integer signal index, constant *)
-  | Rnone
 
-(* Clock functions are flattened to decision trees at plan time so the
-   per-instant evaluation is a branch walk with no manager access and
-   no environment closure. Pathologically large functions fall back to
-   shared-BDD evaluation. *)
-type ctree =
-  | Cleaf of bool
-  | Cnode of varres * ctree * ctree   (* if var then hi else lo *)
-  | Cbdd of Bdd.t
+(* node [k] of the clock DAG is the five cells [5k .. 5k+4]: kind
+   (0 present, 1 cond, 2 condeq), operand, constant, hi, lo; one flat
+   array, so the step walks it without allocating *)
+type dag = int array
+
+let dag_size d = Array.length d / 5
+
+let dag_node d k =
+  let b = 5 * k in
+  let r =
+    match d.(b) with
+    | 0 -> Rpresent d.(b + 1)
+    | 1 -> Rcond d.(b + 1)
+    | _ -> Rcondeq (d.(b + 1), d.(b + 2))
+  in
+  (r, d.(b + 3), d.(b + 4))
 
 (* Values live unboxed in structure-of-arrays slots: a small tag plus
    one payload cell per representation kind. Booleans and events share
@@ -84,9 +91,10 @@ type prim_st = {
 }
 
 (* The compiler is split in two: an immutable [plan] — everything that
-   depends only on the kernel (lowered IR, clock analysis, presence
-   definitions, decision-tree clock functions, the topologically
-   sorted op schedule compiled to closures) — and a mutable instance
+   depends only on the kernel (lowered IR, presence definitions, the
+   clock DAG, the topologically sorted op schedule compiled to
+   closures), immutable arrays that keep no handle on the clock
+   calculus — and a mutable instance
    [t] holding per-run state. Instance state is striped: scenario [s]
    of a [K]-scenario instance owns slots [s*n .. s*n+n-1] of every
    per-signal array (and [s*nclasses ..] of the presence array), and
@@ -100,12 +108,10 @@ type prim_st = {
    own [t] over the one shared plan. *)
 type plan = {
   p_prog : Prog.t;                 (* shared lowered IR (same as Engine) *)
-  p_calc : Calc.t;
   p_class_of : int array;
   p_nclasses : int;
   p_pdefs : pdef array;
-  p_clock_bdd : Bdd.t array;       (* per class (kept for the C backend) *)
-  p_bddvars : varres array;        (* bdd variable -> resolution *)
+  p_dag : dag;                     (* every derived clock, shared *)
   p_plan : op array;
   p_ops : (t -> unit) array;       (* the schedule, compiled to closures *)
   p_n_free : int;                  (* statically free classes *)
@@ -117,15 +123,9 @@ and t = {
   pl : plan;
   (* plan fields, aliased for direct access on the hot path *)
   prog : Prog.t;
-  calc : Calc.t;
   class_of : int array;
   nclasses : int;
-  pdefs : pdef array;
-  clock_bdd : Bdd.t array;
-  bddvars : varres array;
-  plan : op array;
   ops : (t -> unit) array;
-  n_free : int;
   (* instance-owned state *)
   n : int;                         (* signal count *)
   nscen : int;                     (* scenarios sharing this instance *)
@@ -369,39 +369,27 @@ let rec check_args_then_malformed st cargs k =
 (* Clock evaluation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let bdd_env st v =
-  if v >= Array.length st.bddvars then false
-  else
-    match st.bddvars.(v) with
-    | Rpresent c -> st.pres.(st.base_cls + c)
-    | Rcond bi ->
-      let j = st.base_sig + bi in
-      st.pres.(st.base_cls + st.class_of.(bi))
-      && st.has.(j) && slot_bool st j
-    | Rcondeq (xi, k) ->
-      let j = st.base_sig + xi in
-      st.pres.(st.base_cls + st.class_of.(xi))
-      && st.has.(j) && st.tg.(j) = tg_int && st.ri.(j) = k
-    | Rnone -> false
-
-let rec ceval st = function
-  | Cleaf b -> b
-  | Cnode (r, hi, lo) ->
+(* presence of the clock DAG rooted at [k]: one root-to-leaf path,
+   no allocation *)
+let rec walk st (d : dag) k =
+  if k < 2 then k = 1
+  else begin
+    let b = 5 * k in
+    let x = d.(b + 1) in
     let v =
-      match r with
-      | Rpresent c -> st.pres.(st.base_cls + c)
-      | Rcond bi ->
-        let j = st.base_sig + bi in
-        st.pres.(st.base_cls + st.class_of.(bi))
+      match d.(b) with
+      | 0 -> st.pres.(st.base_cls + x)
+      | 1 ->
+        let j = st.base_sig + x in
+        st.pres.(st.base_cls + st.class_of.(x))
         && st.has.(j) && slot_bool st j
-      | Rcondeq (xi, k) ->
-        let j = st.base_sig + xi in
-        st.pres.(st.base_cls + st.class_of.(xi))
-        && st.has.(j) && st.tg.(j) = tg_int && st.ri.(j) = k
-      | Rnone -> false
+      | _ ->
+        let j = st.base_sig + x in
+        st.pres.(st.base_cls + st.class_of.(x))
+        && st.has.(j) && st.tg.(j) = tg_int && st.ri.(j) = d.(b + 2)
     in
-    if v then ceval st hi else ceval st lo
-  | Cbdd b -> Bdd.eval (Calc.manager st.calc) (bdd_env st) b
+    walk st d (if v then d.(b + 3) else d.(b + 4))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* FIFO ring buffers                                                   *)
@@ -535,100 +523,146 @@ let compile_impl ?digest kp =
     in
     let is_input = prog.Prog.is_input in
     let lprims = prog.Prog.prims in
-    (* presence sources per class *)
+    (* presence sources per class; [Pderived]'s root is set once the
+       sources are settled *)
     let pdefs = Array.make nclasses Pfree in
     let mgr = Calc.manager calc in
-    (* [Bdd.support] walks the shared manager's node arrays; take the
-       analysis query lock so concurrent sessions querying the same
-       memoized calculus can't grow them under us. One walk per class
-       serves every use below. *)
-    let supports =
-      Calc.with_query_lock calc (fun () ->
-          Array.map (Bdd.support mgr) clock_bdd)
-    in
-    Array.iteri
-      (fun c support ->
-        let refers_self =
-          List.exists
-            (fun v ->
-              match Calc.var_kind calc v with
-              | Some (`Present c') -> c' = c
-              | _ -> false)
-            support
-        in
-        pdefs.(c) <- (if refers_self then Pfree else Pderived))
-      supports;
-    (* stateful primitive outputs override *)
-    let stateful_outs lp =
-      match lp.Prog.lp_ki.K.ki_prim with
-      | Stdproc.Pfifo | Stdproc.Pfifo_reset -> [ 0 ]       (* data *)
-      | Stdproc.Pin_event_port -> [ 0 ]                     (* frozen *)
-      | Stdproc.Pout_event_port -> [ 0 ]                    (* sent *)
-    in
-    Array.iteri
-      (fun pi lp ->
-        List.iter
-          (fun pos ->
-            pdefs.(class_of.(lp.Prog.lp_outs.(pos))) <- Pprim (pi, pos))
-          (stateful_outs lp))
-      lprims;
-    (* input classes *)
-    for i = 0 to nsignals - 1 do
-      if is_input.(i) then begin
-        let c = class_of.(i) in
+    (* Every BDD read below walks the shared manager's node arrays; take
+       the analysis query lock so concurrent sessions querying the same
+       memoized calculus can't grow them under us. Nothing BDD leaves
+       this section: the plan holds plain arrays. *)
+    let supports, bddvars, dag =
+      Calc.with_query_lock calc @@ fun () ->
+      let supports = Array.map (Bdd.support mgr) clock_bdd in
+      Array.iteri
+        (fun c support ->
+          let refers_self =
+            List.exists
+              (fun v ->
+                match Calc.var_kind calc v with
+                | Some (`Present c') -> c' = c
+                | _ -> false)
+              support
+          in
+          pdefs.(c) <- (if refers_self then Pfree else Pderived 0))
+        supports;
+      (* stateful primitive outputs override *)
+      let stateful_outs lp =
+        match lp.Prog.lp_ki.K.ki_prim with
+        | Stdproc.Pfifo | Stdproc.Pfifo_reset -> [ 0 ]       (* data *)
+        | Stdproc.Pin_event_port -> [ 0 ]                     (* frozen *)
+        | Stdproc.Pout_event_port -> [ 0 ]                    (* sent *)
+      in
+      Array.iteri
+        (fun pi lp ->
+          List.iter
+            (fun pos ->
+              pdefs.(class_of.(lp.Prog.lp_outs.(pos))) <- Pprim (pi, pos))
+            (stateful_outs lp))
+        lprims;
+      (* input classes *)
+      for i = 0 to nsignals - 1 do
+        if is_input.(i) then begin
+          let c = class_of.(i) in
+          match pdefs.(c) with
+          | Pinput members -> pdefs.(c) <- Pinput (i :: members)
+          | Pfree -> pdefs.(c) <- Pinput [ i ]
+          | Pderived _ ->
+            (* an input whose presence is derived from other clocks: we
+               trust the derivation and check the stimulus against it *)
+            pdefs.(c) <- Pinput [ i ]
+          | Palias _ -> assert false           (* not assigned yet *)
+          | Pprim _ ->
+            errf "input %s is synchronized with a FIFO-driven clock"
+              prog.Prog.names.(i)
+        end
+      done;
+      (* A free presence variable pinned absent is only sound while
+         nothing observable forces it true. When the calculus solved an
+         observable class's clock as exactly that variable — the
+         hierarchy picked the free class as representative, so an input
+         (or FIFO-driven) class [c] has clock_bdd = Present c' with c'
+         free — the stimulus deciding [c] decides [c'] too: mirror it
+         instead of pinning it. *)
+      for c = 0 to nclasses - 1 do
         match pdefs.(c) with
-        | Pinput members -> pdefs.(c) <- Pinput (i :: members)
-        | Pfree -> pdefs.(c) <- Pinput [ i ]
-        | Pderived ->
-          (* an input whose presence is derived from other clocks: we
-             trust the derivation and check the stimulus against it *)
-          pdefs.(c) <- Pinput [ i ]
-        | Palias _ -> assert false           (* not assigned yet *)
-        | Pprim _ ->
-          errf "input %s is synchronized with a FIFO-driven clock"
-            prog.Prog.names.(i)
-      end
-    done;
-    (* A free presence variable pinned absent is only sound while
-       nothing observable forces it true. When the calculus solved an
-       observable class's clock as exactly that variable — the
-       hierarchy picked the free class as representative, so an input
-       (or FIFO-driven) class [c] has clock_bdd = Present c' with c'
-       free — the stimulus deciding [c] decides [c'] too: mirror it
-       instead of pinning it. *)
-    for c = 0 to nclasses - 1 do
-      match pdefs.(c) with
-      | Pinput _ | Pprim _ -> (
-        match Bdd.view mgr clock_bdd.(c) with
-        | `Node (v, lo, hi)
-          when Bdd.view mgr lo = `Leaf false
-               && Bdd.view mgr hi = `Leaf true -> (
-          match Calc.var_kind calc v with
-          | Some (`Present c') when c' <> c && pdefs.(c') = Pfree ->
-            pdefs.(c') <- Palias c
+        | Pinput _ | Pprim _ -> (
+          match Bdd.view mgr clock_bdd.(c) with
+          | `Node (v, lo, hi)
+            when Bdd.view mgr lo = `Leaf false
+                 && Bdd.view mgr hi = `Leaf true -> (
+            match Calc.var_kind calc v with
+            | Some (`Present c') when c' <> c && pdefs.(c') = Pfree ->
+              pdefs.(c') <- Palias c
+            | _ -> ())
           | _ -> ())
-        | _ -> ())
-      | Pderived | Pfree | Palias _ -> ()
-    done;
+        | Pderived _ | Pfree | Palias _ -> ()
+      done;
+      (* resolve every bdd variable appearing in a clock function once,
+         so lowering never consults a name table; a variable the
+         calculus does not name reads false *)
+      let max_var = Array.fold_left (List.fold_left max) (-1) supports in
+      let bddvars = Array.make (max_var + 1) None in
+      Array.iter
+        (List.iter (fun v ->
+             match Calc.var_kind calc v with
+             | Some (`Present c) -> bddvars.(v) <- Some (Rpresent c)
+             | Some (`Cond bsig) -> bddvars.(v) <- Some (Rcond (index bsig))
+             | Some (`CondEq (x, k)) ->
+               bddvars.(v) <- Some (Rcondeq (index x, k))
+             | None -> ()))
+        supports;
+      (* lower the derived clocks into the shared DAG: children first,
+         depth first, one node per BDD node (memoized on its id) *)
+      let leaf = [| 0; 0; 0; 0; 0 |] in
+      let nodes = ref [ leaf; leaf ] and next = ref 2 in
+      let node r hi lo =
+        let kind, x, k =
+          match r with
+          | Rpresent c -> (0, c, 0)
+          | Rcond x -> (1, x, 0)
+          | Rcondeq (x, k) -> (2, x, k)
+        in
+        nodes := [| kind; x; k; hi; lo |] :: !nodes;
+        incr next;
+        !next - 1
+      in
+      let memo = Hashtbl.create 256 in
+      let rec lower b =
+        match Bdd.view mgr b with
+        | `Leaf l -> if l then 1 else 0
+        | `Node (v, lo, hi) -> (
+          match Hashtbl.find_opt memo (Bdd.id b) with
+          | Some k -> k
+          | None ->
+            let k =
+              match bddvars.(v) with
+              | None -> lower lo
+              | Some r ->
+                let h = lower hi in
+                let l = lower lo in
+                node r h l
+            in
+            Hashtbl.add memo (Bdd.id b) k;
+            k)
+      in
+      Array.iteri
+        (fun c -> function
+          | Pderived _ -> pdefs.(c) <- Pderived (lower clock_bdd.(c))
+          | Pinput _ | Pprim _ | Palias _ | Pfree -> ())
+        pdefs;
+      (supports, bddvars, Array.concat (List.rev !nodes))
+    in
+    Metrics.set m_bdd_nodes (Bdd.node_count mgr);
+    let calls, hits = Bdd.apply_stats mgr in
+    Metrics.set m_bdd_apply_calls calls;
+    Metrics.set m_bdd_apply_hit_pct
+      (if calls = 0 then 0 else 100 * hits / calls);
     let n_free =
       Array.fold_left
         (fun acc p -> match p with Pfree -> acc + 1 | _ -> acc)
         0 pdefs
     in
-    (* resolve every bdd variable appearing in a clock function once,
-       so evaluation never consults a name table *)
-    let max_var =
-      Array.fold_left (List.fold_left max) (-1) supports
-    in
-    let bddvars = Array.make (max_var + 1) Rnone in
-    Array.iter
-      (List.iter (fun v ->
-           match Calc.var_kind calc v with
-           | Some (`Present c) -> bddvars.(v) <- Rpresent c
-           | Some (`Cond bsig) -> bddvars.(v) <- Rcond (index bsig)
-           | Some (`CondEq (x, k)) -> bddvars.(v) <- Rcondeq (index x, k)
-           | None -> ()))
-      supports;
     (* dependency graph over presence nodes [c] and value nodes
        [nclasses + i], ordered as the names "P<c>" and "V<i>" sort:
        that order fixes the plan, the generated C and the cycle
@@ -654,18 +688,15 @@ let compile_impl ?digest kp =
         Array.iter
           (fun i -> edge (pnode class_of.(i)) (pnode c))
           lprims.(pi).Prog.lp_ins
-      | Pderived ->
+      | Pderived _ ->
         List.iter
           (fun v ->
             match bddvars.(v) with
-            | Rpresent c' -> if c' <> c then edge (pnode c') (pnode c)
-            | Rcond bi ->
+            | Some (Rpresent c') -> if c' <> c then edge (pnode c') (pnode c)
+            | Some (Rcond bi | Rcondeq (bi, _)) ->
               edge (vnode bi) (pnode c);
               edge (pnode class_of.(bi)) (pnode c)
-            | Rcondeq (xi, _) ->
-              edge (vnode xi) (pnode c);
-              edge (pnode class_of.(xi)) (pnode c)
-            | Rnone -> ())
+            | None -> ())
           supports.(c)
     done;
     let dep_atom dst = function
@@ -722,24 +753,6 @@ let compile_impl ?digest kp =
         | Types.Vreal r -> CAconst_r r
         | Types.Vstring s -> CAconst_s s)
     in
-    (* decision trees can blow up on shared BDDs; past a global budget
-       the remaining classes keep shared-BDD evaluation *)
-    let tree_budget = ref 20_000 in
-    let rec ctree_of b =
-      match Bdd.view mgr b with
-      | `Leaf bb -> Cleaf bb
-      | `Node (var, lo, hi) ->
-        if !tree_budget <= 0 then Cbdd b
-        else begin
-          decr tree_budget;
-          let r =
-            if var < Array.length bddvars then bddvars.(var) else Rnone
-          in
-          let hi' = ctree_of hi in
-          let lo' = ctree_of lo in
-          Cnode (r, hi', lo')
-        end
-    in
     let compile_prim_pres c pi pos =
       let lp = lprims.(pi) in
       let ins = lp.Prog.lp_ins in
@@ -783,10 +796,9 @@ let compile_impl ?digest kp =
           check_stim_agree st ms p 0;
           st.pres.(st.base_cls + c) <- p
       | Pprim (pi, pos) -> compile_prim_pres c pi pos
-      | Pderived -> (
-        match ctree_of clock_bdd.(c) with
-        | Cleaf b -> fun st -> st.pres.(st.base_cls + c) <- b
-        | ct -> fun st -> st.pres.(st.base_cls + c) <- ceval st ct)
+      | Pderived root ->
+        if root < 2 then fun st -> st.pres.(st.base_cls + c) <- root = 1
+        else fun st -> st.pres.(st.base_cls + c) <- walk st dag root
     in
     let compile_func i c op args =
       let cargs = Array.map catom args in
@@ -966,9 +978,9 @@ let compile_impl ?digest kp =
         plan
     in
     Ok
-      { p_prog = prog; p_calc = calc; p_class_of = class_of;
-        p_nclasses = nclasses; p_pdefs = pdefs; p_clock_bdd = clock_bdd;
-        p_bddvars = bddvars; p_plan = plan; p_ops = ops; p_n_free = n_free;
+      { p_prog = prog; p_class_of = class_of; p_nclasses = nclasses;
+        p_pdefs = pdefs; p_dag = dag; p_plan = plan; p_ops = ops;
+        p_n_free = n_free;
         p_live =
           Array.of_list
             (List.filter
@@ -989,15 +1001,9 @@ let instantiate ?(scenarios = 1) pl =
   let st =
     { pl;
       prog;
-      calc = pl.p_calc;
       class_of = pl.p_class_of;
       nclasses = nc;
-      pdefs = pl.p_pdefs;
-      clock_bdd = pl.p_clock_bdd;
-      bddvars = pl.p_bddvars;
-      plan = pl.p_plan;
       ops = pl.p_ops;
-      n_free = pl.p_n_free;
       n;
       nscen = k;
       scen = 0;
@@ -1061,13 +1067,7 @@ let build_plan ?digest kp =
   in
   (match r with
    | Ok pl ->
-     let mgr = Calc.manager pl.p_calc in
      Metrics.set m_plan_ops (Array.length pl.p_plan);
-     Metrics.set m_bdd_nodes (Bdd.node_count mgr);
-     let calls, hits = Bdd.apply_stats mgr in
-     Metrics.set m_bdd_apply_calls calls;
-     Metrics.set m_bdd_apply_hit_pct
-       (if calls = 0 then 0 else 100 * hits / calls);
      Metrics.set m_free_classes pl.p_n_free
    | Error _ -> ());
   r
@@ -1546,8 +1546,8 @@ let state_key st kb =
     st.prims;
   Digest.subbytes kb.kbytes 0 kb.kpos
 
-let plan_length st = Array.length st.plan
-let free_classes st = st.n_free
+let plan_length st = Array.length st.pl.p_plan
+let free_classes st = st.pl.p_n_free
 
 
 (* ------------------------------------------------------------------ *)
@@ -1556,27 +1556,12 @@ let free_classes st = st.n_free
 (* value semantics as BDD formulas instead of imperative closures.     *)
 (* ------------------------------------------------------------------ *)
 
-type sym_pdef =
-  | Sym_free
-  | Sym_input of int list
-  | Sym_prim of int * int
-  | Sym_derived
-  | Sym_alias of int
-
-type sym_varres =
-  | Sym_present of int
-  | Sym_cond of int
-  | Sym_condeq of int * int
-  | Sym_none
-
 type sym_view = {
   sv_prog : Prog.t;
   sv_nclasses : int;
   sv_class_of : int array;
-  sv_pdefs : sym_pdef array;
-  sv_mgr : Bdd.manager;
-  sv_clock_bdd : Bdd.t array;
-  sv_bddvars : sym_varres array;
+  sv_pdefs : pdef array;
+  sv_dag : dag;
   sv_order : [ `Pres of int | `Val of int ] array;
 }
 
@@ -1584,34 +1569,17 @@ let sym_view st =
   { sv_prog = st.prog;
     sv_nclasses = st.nclasses;
     sv_class_of = st.class_of;
-    sv_pdefs =
-      Array.map
-        (function
-          | Pfree -> Sym_free
-          | Pinput l -> Sym_input l
-          | Pprim (p, k) -> Sym_prim (p, k)
-          | Pderived -> Sym_derived
-          | Palias src -> Sym_alias src)
-        st.pdefs;
-    sv_mgr = Calc.manager st.calc;
-    sv_clock_bdd = st.clock_bdd;
-    sv_bddvars =
-      Array.map
-        (function
-          | Rpresent c -> Sym_present c
-          | Rcond i -> Sym_cond i
-          | Rcondeq (i, k) -> Sym_condeq (i, k)
-          | Rnone -> Sym_none)
-        st.bddvars;
+    sv_pdefs = st.pl.p_pdefs;
+    sv_dag = st.pl.p_dag;
     sv_order =
-      Array.map (function Opres c -> `Pres c | Oval i -> `Val i) st.plan }
+      Array.map (function Opres c -> `Pres c | Oval i -> `Val i) st.pl.p_plan }
 
 let free_class_members st =
   let acc = ref [] in
   for i = st.prog.Prog.n - 1 downto 0 do
-    match st.pdefs.(st.class_of.(i)) with
+    match st.pl.p_pdefs.(st.class_of.(i)) with
     | Pfree -> acc := st.prog.Prog.names.(i) :: !acc
-    | Pinput _ | Pprim _ | Pderived | Palias _ -> ()
+    | Pinput _ | Pprim _ | Pderived _ | Palias _ -> ()
   done;
   !acc
 
@@ -1622,7 +1590,7 @@ let free_class_members st =
 
 let styp_of st i = st.prog.Prog.types.(i)
 
-let to_c ?(name = "signal_step") st =
+let to_c st =
   let buf = Buffer.create 16384 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let prog = st.prog in
@@ -1685,26 +1653,25 @@ let to_c ?(name = "signal_step") st =
     (* input buffers *)
     let ni = Array.length inputs in
     pf "static int in_p[%d]; static double in_raw[%d];\n\n" (max ni 1) (max ni 1);
-    (* BDD compilation *)
-    let mgr = Calc.manager st.calc in
-    let rec bdd_expr b =
-      match Bdd.view mgr b with
-      | `Leaf true -> "1"
-      | `Leaf false -> "0"
-      | `Node (var, lo, hi) ->
-        let cond =
-          match
-            (if var < Array.length st.bddvars then st.bddvars.(var) else Rnone)
-          with
-          | Rpresent c -> p c
-          | Rcond bi ->
-            Printf.sprintf "(%s && %s)" (p st.class_of.(bi)) (v bi)
-          | Rcondeq (xi, k) ->
-            Printf.sprintf "(%s && %s == %d)" (p st.class_of.(xi)) (v xi) k
-          | Rnone -> "0"
-        in
-        Printf.sprintf "(%s ? %s : %s)" cond (bdd_expr hi) (bdd_expr lo)
+    (* derived clocks: one function per clock-DAG node, children
+       first, so each calls only functions already defined *)
+    let dag = st.pl.p_dag in
+    let node_call k =
+      if k < 2 then string_of_int k else Printf.sprintf "c_%d()" k
     in
+    for k = 2 to dag_size dag - 1 do
+      let r, hi, lo = dag_node dag k in
+      let cond =
+        match r with
+        | Rpresent c -> p c
+        | Rcond bi -> Printf.sprintf "(%s && %s)" (p st.class_of.(bi)) (v bi)
+        | Rcondeq (xi, n) ->
+          Printf.sprintf "(%s && %s == %d)" (p st.class_of.(xi)) (v xi) n
+      in
+      pf "static int c_%d(void){ return %s ? %s : %s; }\n" k cond
+        (node_call hi) (node_call lo)
+    done;
+    if dag_size dag > 2 then pf "\n";
     let atom_expr = function
       | Prog.Avar y -> v y
       | Prog.Aconst (Types.Vint n) -> string_of_int n
@@ -1775,7 +1742,7 @@ let to_c ?(name = "signal_step") st =
       (fun op ->
         match op with
         | Opres c -> (
-          match st.pdefs.(c) with
+          match st.pl.p_pdefs.(c) with
           | Pfree -> pf "  %s = 0;\n" (p c)
           | Pinput members ->
             let flags =
@@ -1788,7 +1755,7 @@ let to_c ?(name = "signal_step") st =
           | Pprim (pi, pos) ->
             pf "  %s = %s;\n" (p c) (prim_pres_expr st.prims.(pi) pos)
           | Palias src -> pf "  %s = %s;\n" (p c) (p src)
-          | Pderived -> pf "  %s = %s;\n" (p c) (bdd_expr st.clock_bdd.(c)))
+          | Pderived root -> pf "  %s = %s;\n" (p c) (node_call root))
         | Oval i ->
           let guard = p st.class_of.(i) in
           (match prog.Prog.vdefs.(i) with
@@ -1851,7 +1818,7 @@ let to_c ?(name = "signal_step") st =
            | Prog.Vprim (pi, pos) ->
              pf "  if (%s) %s = %s;\n" guard (v i)
                (prim_val_expr st.prims.(pi) pos)))
-      st.plan;
+      st.pl.p_plan;
     (* commit: delays then queues *)
     for i = 0 to nsignals - 1 do
       let src = prog.Prog.delay_src.(i) in
@@ -1908,7 +1875,6 @@ let to_c ?(name = "signal_step") st =
     done;
     pf "    printf(\"\\n\");\n";
     pf "  }\n  return 0;\n}\n";
-    ignore name;
     Metrics.set m_codegen_bytes (Buffer.length buf);
     Ok (Buffer.contents buf)
   end

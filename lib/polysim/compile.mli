@@ -7,12 +7,14 @@
     function per synchronization class, orders presence and value
     computations topologically, and emits a straight-line execution
     plan compiled to closures over unboxed structure-of-arrays state.
+    Every derived clock is lowered once into one shared {!dag}, which
+    the step, {!to_c} and {!Symbolic} all read; none touches a BDD.
     A step then:
 
     + reads input presence from the dense stimulus buffer;
-    + evaluates each class's clock function (free classes take their
-      presence from inputs or primitive FIFO state; everything else is
-      decided by a decision tree flattened from the clock BDD);
+    + decides each class's presence (input classes from the stimulus,
+      FIFO-driven classes from primitive state, derived classes by
+      walking one root-to-leaf path of the clock DAG);
     + computes values of present signals in dataflow order — no
       iteration, no retraction, no per-value boxing;
     + commits delay registers and FIFO ring buffers.
@@ -37,8 +39,8 @@ type t
 val compile :
   ?digest:string -> Signal_lang.Kernel.kprocess -> (t, string) result
 (** Compile, or fetch the memoized compilation. The expensive immutable
-    part — clock analysis, clock BDDs, the toposorted execution plan
-    compiled to closures — is cached on {!Signal_lang.Kernel.digest}
+    part — the clock DAG, the toposorted execution plan compiled to
+    closures — is cached on {!Signal_lang.Kernel.digest}
     ([digest], when the caller already holds it, saves computing it)
     (with a physical-equality fast path for repeated compiles of the
     same in-memory kernel) and shared between all instances of a
@@ -216,38 +218,49 @@ val state_key : t -> keybuf -> string
     (plus one box per float-typed register), not a Marshal image of
     the boxed state. *)
 
-(** {1 Symbolic introspection}
+(** {1 Plan introspection}
 
-    A read-only view of the compiled plan for the symbolic
-    reachability engine ({!Symbolic}): how each synchronization
-    class's presence is decided, the clock functions as BDDs over the
-    clock calculus's manager, and the topological op order, so the
-    engine can rebuild the exact step semantics as boolean formulas. *)
+    A read-only view of the plan the step runs: how each class's
+    presence is decided, the clock DAG and the topological op order,
+    from which {!Symbolic} rebuilds the step as boolean formulas. *)
 
-type sym_pdef =
-  | Sym_free                       (** statically absent *)
-  | Sym_input of int list          (** presence = stimulus of members *)
-  | Sym_prim of int * int          (** decided by FIFO state (prim, pos) *)
-  | Sym_derived                    (** evaluate the clock function *)
-  | Sym_alias of int
+(** How a class's presence is decided. *)
+type pdef =
+  | Pinput of int list             (** presence = stimulus of members *)
+  | Pprim of int * int             (** decided by FIFO state (prim, pos) *)
+  | Pderived of int
+      (** the clock DAG node at this root decides it ({!dag_node}) *)
+  | Palias of int
       (** mirror class [c]'s presence: the calculus solved an
           observable class's clock as exactly this class's free
           presence variable, so that observation decides it *)
+  | Pfree                          (** statically absent *)
 
-type sym_varres =
-  | Sym_present of int             (** clock var = class [c] present *)
-  | Sym_cond of int                (** boolean signal [i] present-and-true *)
-  | Sym_condeq of int * int        (** integer signal [i] equals [k] *)
-  | Sym_none
+(** What a clock-DAG node tests. Each reads false when the signal it
+    names is absent. *)
+type varres =
+  | Rpresent of int                (** class [c] is present *)
+  | Rcond of int                   (** boolean signal [i] is true *)
+  | Rcondeq of int * int           (** integer signal [i] equals [k] *)
+
+type dag
+(** The derived clocks as one maximally shared decision DAG, one node
+    per clock-BDD node. Nodes [0] and [1] are false and true; node [k]
+    tests a {!varres} and continues at [hi] if it holds, else at [lo].
+    Children have smaller ids than their parents. *)
+
+val dag_size : dag -> int
+(** Number of nodes, the two constants included. *)
+
+val dag_node : dag -> int -> varres * int * int
+(** [dag_node d k] for [2 <= k < dag_size d] is [(test, hi, lo)]. *)
 
 type sym_view = {
   sv_prog : Prog.t;
   sv_nclasses : int;
   sv_class_of : int array;         (** signal -> synchronization class *)
-  sv_pdefs : sym_pdef array;       (** per class *)
-  sv_mgr : Clocks.Bdd.manager;     (** manager owning [sv_clock_bdd] *)
-  sv_clock_bdd : Clocks.Bdd.t array;  (** per class *)
-  sv_bddvars : sym_varres array;   (** clock BDD variable -> resolution *)
+  sv_pdefs : pdef array;           (** per class *)
+  sv_dag : dag;                    (** the roots of [Pderived] classes *)
   sv_order : [ `Pres of int | `Val of int ] array;
       (** the toposorted schedule: presence of class / value of signal *)
 }
@@ -260,9 +273,10 @@ val sym_view : t -> sym_view
     emitted as a self-contained C program. Its [main] reads one line
     per instant from stdin — one token per process input, in interface
     order, ["-"] meaning absent — executes the compiled step and prints
-    every present signal as [name=value]. The generated code is
-    compiled with a real C compiler and diffed against the OCaml
-    simulator in the test suite. *)
+    every present signal as [name=value]. Each clock-DAG node becomes
+    one C function [c_k], so the code grows with the DAG. The
+    generated code is compiled with a real C compiler and diffed
+    against the OCaml simulator in the test suite. *)
 
-val to_c : ?name:string -> t -> (string, string) result
+val to_c : t -> (string, string) result
 (** Fails on processes with string-typed signals (no C mapping). *)

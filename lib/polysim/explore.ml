@@ -26,6 +26,10 @@ let code_replay =
   Putil.Diag.code "EXPLORE-SYM-002"
     "symbolic counterexample failed to replay on the explicit simulator"
 
+let code_jobs =
+  Putil.Diag.code "EXPLORE-JOBS-001"
+    "more exploration jobs than the runtime can run domains"
+
 let diag_compile m = Putil.Diag.errorf ~code:code_compile "%s" m
 let diag_sim m = Putil.Diag.errorf ~code:code_sim "%s" m
 
@@ -136,6 +140,11 @@ let default_jobs () =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
   | None -> 1
 
+(* OCaml 5's [Max_domains]: the pool spawns [jobs - 1] domains next to
+   the calling one, and one more than this fails inside [Domain.spawn]
+   with the earlier ones already running *)
+let max_jobs = 128
+
 (* The original sequential depth-first search, kept as the reference
    semantics the parallel search is tested against. *)
 let check_dfs ?(depth = 8) ~inputs ~safe kp =
@@ -225,6 +234,12 @@ let check_dfs ?(depth = 8) ~inputs ~safe kp =
    again with a larger remaining budget. *)
 let check ?(depth = 8) ?jobs ~inputs ~safe kp =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  if jobs > max_jobs then
+    Error
+      (Putil.Diag.errorf ~code:code_jobs
+         "%d exploration jobs requested; at most %d domains can run" jobs
+         max_jobs)
+  else
   Putil.Tracing.with_span "explore.check"
     ~args:
       [ ("depth", Putil.Tracing.Aint depth);

@@ -63,10 +63,15 @@ val check :
 
     [jobs] (default: the [EXPLORE_JOBS] environment variable, else 1)
     spreads each depth slice over that many domains; [jobs:1] runs
-    entirely on the calling domain. The verdict, counterexample and
-    state count do not depend on [jobs]. [safe] is called concurrently
-    from several domains when [jobs > 1], so it must be thread-safe
-    (pure predicates, the common case, are). *)
+    entirely on the calling domain. More than {!max_jobs} fails with
+    [EXPLORE-JOBS-001] before any domain starts. The verdict,
+    counterexample and state count do not depend on [jobs]. [safe] is
+    called concurrently from several domains when [jobs > 1], so it
+    must be thread-safe (pure predicates, the common case, are). *)
+
+val max_jobs : int
+(** The most [jobs] {!check} accepts: the OCaml runtime's domain limit
+    (128), the calling domain included. *)
 
 val check_dfs :
   ?depth:int ->

@@ -597,59 +597,56 @@ let run_exn ~depth ~inputs ~prop c =
       | Stdproc.Pin_event_port -> (p 1, p 0, zero)
       | Stdproc.Pout_event_port -> (zero, p 0, p 1)
     in
-    (* clock-calculus BDD -> (value, error) formulas over our rails;
-       mirrors Compile.bdd_env including its && short-circuits (an
-       absent or unset condition variable reads false, no error) *)
-    let resolve_var var =
-      if var >= Array.length sv.Compile.sv_bddvars then (zero, zero)
-      else
-        match sv.Compile.sv_bddvars.(var) with
-        | Compile.Sym_present cl -> (pres_b.(cl), zero)
-        | Compile.Sym_cond bi ->
-          let es = parts.(bi) in
-          let nonbool =
-            sum
-              (List.filter
-                 (fun (v, _) ->
-                   match v with
-                   | Types.Vbool _ | Types.Vevent -> false
-                   | _ -> true)
-                 es)
-          in
-          (truthy es, nonbool)
-        | Compile.Sym_condeq (xi, k) ->
-          let es = parts.(xi) in
-          ( sum
-              (List.filter
-                 (fun (v, _) ->
-                   match v with Types.Vint j -> j = k | _ -> false)
-                 es),
-            zero )
-        | Compile.Sym_none -> (zero, zero)
+    (* clock DAG -> (value, error) formulas over our rails, memoized
+       on node ids; mirrors Compile's DAG walk including its &&
+       short-circuits (an absent or unset condition variable reads
+       false, no error) *)
+    let resolve_var = function
+      | Compile.Rpresent cl -> (pres_b.(cl), zero)
+      | Compile.Rcond bi ->
+        let es = parts.(bi) in
+        let nonbool =
+          sum
+            (List.filter
+               (fun (v, _) ->
+                 match v with
+                 | Types.Vbool _ | Types.Vevent -> false
+                 | _ -> true)
+               es)
+        in
+        (truthy es, nonbool)
+      | Compile.Rcondeq (xi, k) ->
+        let es = parts.(xi) in
+        ( sum
+            (List.filter
+               (fun (v, _) ->
+                 match v with Types.Vint j -> j = k | _ -> false)
+               es),
+          zero )
     in
-    let convmemo : (int, Bdd.t * Bdd.t) Hashtbl.t = Hashtbl.create 64 in
-    let smgr = sv.Compile.sv_mgr in
-    let rec conv_clock b =
-      match Hashtbl.find_opt convmemo (Bdd.id b) with
-      | Some r -> r
-      | None ->
-        let r =
-          match Bdd.view smgr b with
-          | `Leaf bb -> ((if bb then one else zero), zero)
-          | `Node (var, lo, hi) ->
-            let vv, ve = resolve_var var in
-            let lv, le = conv_clock lo in
-            let hv, he = conv_clock hi in
+    let dag = sv.Compile.sv_dag in
+    let convmemo = Array.make (Compile.dag_size dag) None in
+    let rec conv_clock k =
+      if k < 2 then ((if k = 1 then one else zero), zero)
+      else
+        match convmemo.(k) with
+        | Some r -> r
+        | None ->
+          let var, hi, lo = Compile.dag_node dag k in
+          let vv, ve = resolve_var var in
+          let lv, le = conv_clock lo in
+          let hv, he = conv_clock hi in
+          let r =
             ( b_or (b_and vv hv) (b_and (b_not vv) lv),
               b_or ve (b_or (b_and vv he) (b_and (b_not vv) le)) )
-        in
-        Hashtbl.add convmemo (Bdd.id b) r;
-        r
+          in
+          convmemo.(k) <- Some r;
+          r
     in
     let compute_pres cls =
       match sv.Compile.sv_pdefs.(cls) with
-      | Compile.Sym_free -> zero
-      | Compile.Sym_input ms ->
+      | Compile.Pfree -> zero
+      | Compile.Pinput ms ->
         let g_of i =
           match ienc_of.(i) with Some ie -> ie.ipres | None -> zero
         in
@@ -657,7 +654,7 @@ let run_exn ~depth ~inputs ~prop c =
         (* synchronous inputs disagreeing on presence is a step error *)
         List.iter (fun i -> add_err (b_and pc (b_not (g_of i)))) ms;
         pc
-      | Compile.Sym_prim (pi, pos) -> (
+      | Compile.Pprim (pi, pos) -> (
         let q = queues.(pi) in
         let cl, pu, po = prim_guards pi in
         match prog.Prog.prims.(pi).Prog.lp_ki.K.ki_prim, pos with
@@ -666,11 +663,11 @@ let run_exn ~depth ~inputs ~prop c =
         | Stdproc.Pin_event_port, 0 -> b_and cl (q_len_pos q)
         | Stdproc.Pout_event_port, 0 -> b_and po (b_or pu (q_len_pos q))
         | _, _ -> unsup "unsupported primitive presence shape")
-      | Compile.Sym_derived ->
-        let v, e = conv_clock sv.Compile.sv_clock_bdd.(cls) in
+      | Compile.Pderived root ->
+        let v, e = conv_clock root in
         add_err e;
         v
-      | Compile.Sym_alias _ ->
+      | Compile.Palias _ ->
         (* handled at the plan-order walk, where the source class's
            presence formula is already available *)
         assert false
@@ -853,7 +850,7 @@ let run_exn ~depth ~inputs ~prop c =
           pres_b.(cls) <-
             (match sv.Compile.sv_pdefs.(cls) with
             (* plan order guarantees the source class is computed *)
-            | Compile.Sym_alias src -> pres_b.(src)
+            | Compile.Palias src -> pres_b.(src)
             | _ -> compute_pres cls)
         | `Val i ->
           let pc = pres_b.(class_of.(i)) in

@@ -5,7 +5,9 @@
     variables on three rails — current state on even variables, next
     state on the interleaved odd variables, inputs above both — and a
     symbolic transition relation is rebuilt from
-    {!Compile.sym_view}: class presence as boolean formulas, signal
+    {!Compile.sym_view}: class presence as boolean formulas (a derived
+    class's from the plan's clock DAG, each node converted once, so
+    the engine reads the clocks the step walks), signal
     values as finite {e partitions} (value → producing region), and
     the region where the explicit step would raise as an exact [err]
     formula. Reachability then iterates the relational product

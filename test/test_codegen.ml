@@ -321,6 +321,31 @@ let test_plan_order_c () =
       Alcotest.(check string) "generated C"
         (Test_data.read "corpus/golden/codegen_plan_order.c") src)
 
+(* The generated C grows with the clock DAG, not with the paths of the
+   clock BDDs: the 3-replica example stays within 4x the case study's
+   program (34x while every derived clock was printed as an unshared
+   ?: tree). Byte counts are deterministic; no C compiler is needed. *)
+let test_size_gate () =
+  let c_bytes src =
+    match
+      Polychrony.Pipeline.analyze
+        ~registry:Polychrony.Case_study.registry_nominal src
+    with
+    | Error m -> Alcotest.fail (Putil.Diag.list_to_string m)
+    | Ok a -> (
+      match Compile.compile a.Polychrony.Pipeline.kernel with
+      | Error m -> Alcotest.fail m
+      | Ok c -> (
+        match Compile.to_c c with
+        | Ok src -> String.length src
+        | Error m -> Alcotest.fail m))
+  in
+  let one = c_bytes Polychrony.Case_study.aadl_source in
+  let three = c_bytes (Test_data.read "../examples/prodcons_replicas3.aadl") in
+  Alcotest.(check bool)
+    (Printf.sprintf "3 replicas: %d B <= 4 x %d B" three one)
+    true (three <= 4 * one)
+
 let suite =
   [ ("codegen_c",
      [ Alcotest.test_case "counter" `Quick test_counter_c;
@@ -330,4 +355,6 @@ let suite =
        Alcotest.test_case "full case study" `Quick test_case_study_c;
        Alcotest.test_case "mode automaton" `Quick test_moded_c;
        Alcotest.test_case "plan order follows names" `Quick
-         test_plan_order_c ]) ]
+         test_plan_order_c;
+       Alcotest.test_case "size grows with the clock DAG" `Quick
+         test_size_gate ]) ]

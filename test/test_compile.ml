@@ -359,6 +359,100 @@ let test_memoized_instances_independent () =
   let c3 = Result.get_ok (Compile.compile_uncached kp) in
   Alcotest.(check bool) "cold compile agrees" true (step c3 = Some (vi 1))
 
+(* ---------------- the clock DAG against the calculus ---------------- *)
+
+(* The plan lowers every derived clock into one shared DAG, and the
+   step, the C backend and the symbolic engine all read it. Walk the
+   DAG the plan exposes from each derived class's root under seeded
+   random assignments of the clock variables: it must equal
+   [Bdd.eval] of the class's clock in the calculus. A variable gets
+   one random value per round, keyed by what the calculus says it
+   means, so the walk and the BDD read the same assignment. *)
+let test_dag_oracle ?file mode () =
+  let module P = Polychrony.Pipeline in
+  let module Calc = Clocks.Calculus in
+  let src =
+    match file with
+    | Some f -> Test_data.read f
+    | None -> Polychrony.Case_study.aadl_source
+  in
+  let a =
+    match
+      P.analyze ~registry:Polychrony.Case_study.registry_nominal ~mode src
+    with
+    | Ok a -> a
+    | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+  in
+  let calc = Lazy.force a.P.calc in
+  let sv =
+    match Compile.compile ~digest:a.P.kernel_digest a.P.kernel with
+    | Ok c -> Compile.sym_view c
+    | Error m -> Alcotest.fail m
+  in
+  let names = sv.Compile.sv_prog.Polysim.Prog.names in
+  let dag = sv.Compile.sv_dag in
+  let rng = Random.State.make [| 22 |] in
+  let derived = ref 0 and mismatches = ref [] in
+  for _ = 1 to 256 do
+    let drawn = Hashtbl.create 64 in
+    let value key =
+      match Hashtbl.find_opt drawn key with
+      | Some b -> b
+      | None ->
+        let b = Random.State.bool rng in
+        Hashtbl.add drawn key b;
+        b
+    in
+    let env v =
+      match Calc.var_kind calc v with
+      | Some (`Present c) -> value (`P c)
+      | Some (`Cond x) -> value (`C x)
+      | Some (`CondEq (x, k)) -> value (`E (x, k))
+      | None -> false
+    in
+    let holds = function
+      | Compile.Rpresent c -> value (`P c)
+      | Compile.Rcond i -> value (`C names.(i))
+      | Compile.Rcondeq (i, k) -> value (`E (names.(i), k))
+    in
+    let rec walk k =
+      if k < 2 then k = 1
+      else
+        let r, hi, lo = Compile.dag_node dag k in
+        walk (if holds r then hi else lo)
+    in
+    Array.iteri
+      (fun cls -> function
+        | Compile.Pderived root ->
+          incr derived;
+          let expected =
+            Calc.with_query_lock calc (fun () ->
+                Clocks.Bdd.eval (Calc.manager calc) env
+                  (Calc.clock_of_class_id calc cls))
+          in
+          if walk root <> expected then mismatches := cls :: !mismatches
+        | Compile.Pinput _ | Compile.Pprim _ | Compile.Palias _
+        | Compile.Pfree -> ())
+      sv.Compile.sv_pdefs
+  done;
+  Alcotest.(check bool) "some class is derived" true (!derived > 0);
+  Alcotest.(check (list int)) "classes whose DAG walk differs" []
+    (List.sort_uniq compare !mismatches)
+
+let dag_oracles =
+  List.concat_map
+    (fun (name, file) ->
+      List.map
+        (fun (mode, m) ->
+          Alcotest.test_case
+            (Printf.sprintf "clock DAG = Bdd.eval, %s: %s" m name)
+            `Quick (test_dag_oracle ?file mode))
+        [ (Trans.System_trans.Embedded, "embedded");
+          (Trans.System_trans.External, "external") ])
+    [ ("case_study", None);
+      ("producer_consumer", Some "../examples/producer_consumer.aadl");
+      ("prodcons_replicas3", Some "../examples/prodcons_replicas3.aadl") ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_equivalence ]
 
 let suite =
@@ -375,4 +469,4 @@ let suite =
          test_case_study_plan_properties;
        Alcotest.test_case "memoized instances independent" `Quick
          test_memoized_instances_independent ]
-     @ qsuite) ]
+     @ dag_oracles @ qsuite) ]

@@ -273,6 +273,35 @@ let prop_parallel_parity =
                E.check ~depth:4 ~jobs ~inputs ~safe kp = seq)
              [ 2; 4 ])
 
+(* More jobs than the runtime can run domains is a coded error,
+   raised before any domain starts, whether the count comes from
+   [jobs] (the CLI's --jobs) or from EXPLORE_JOBS; so this test starts
+   no domain *)
+let test_jobs_bounded () =
+  let kp = Lazy.force two_counters in
+  let rejected label r =
+    match r with
+    | Error d ->
+      Alcotest.(check string) label "EXPLORE-JOBS-001" d.Putil.Diag.code
+    | Ok _ -> Alcotest.fail (label ^ ": accepted")
+  in
+  let check ?jobs () =
+    E.check ~depth:2 ?jobs ~inputs:two_counter_inputs
+      ~safe:(fun _ -> true) kp
+  in
+  rejected "one above the bound" (check ~jobs:(E.max_jobs + 1) ());
+  rejected "jobs" (check ~jobs:100_000 ());
+  let saved = Sys.getenv_opt "EXPLORE_JOBS" in
+  Unix.putenv "EXPLORE_JOBS" "100000";
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "EXPLORE_JOBS" (Option.value saved ~default:""))
+    (fun () ->
+      rejected "EXPLORE_JOBS" (check ());
+      rejected "verify, EXPLORE_JOBS"
+        (Polychrony.Pipeline.verify_kernel ~depth:2 ~engine:`Explicit
+           ~never:"n0" ~inputs:two_counter_inputs kp))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_parallel_parity ]
 
 let suite =
@@ -290,5 +319,6 @@ let suite =
        Alcotest.test_case "parallel determinism" `Quick
          test_parallel_determinism;
        Alcotest.test_case "parallel matches DFS verdict" `Quick
-         test_parallel_matches_dfs_verdict ]
+         test_parallel_matches_dfs_verdict;
+       Alcotest.test_case "job count bounded" `Quick test_jobs_bounded ]
      @ qsuite) ]
