@@ -1000,12 +1000,12 @@ let simulate_scenarios ?envs ?(hyperperiods = 2) ~scenarios a =
       [ ("scenarios", Putil.Tracing.Aint scenarios);
         ("horizon_ticks", Putil.Tracing.Aint horizon) ]
   @@ fun () ->
-  (* a bad argument, not a plan failure: SIM-001, never COMPILE-001 *)
-  if scenarios < 1 then
-    Error
-      [ Putil.Diag.errorf ~code:code_sim "scenarios must be >= 1, got %d"
-          scenarios ]
-  else run_compiled a ~horizon ~scenarios (fun s -> stimulus_at_fn a (envs s))
+  (* a bad argument, not a plan failure: SIM-001, never COMPILE-001,
+     and decided before anything is allocated *)
+  match Polysim.Compile.check_scenarios a.kernel scenarios with
+  | Error m -> Error [ Putil.Diag.errorf ~code:code_sim "%s" m ]
+  | Ok () ->
+    run_compiled a ~horizon ~scenarios (fun s -> stimulus_at_fn a (envs s))
 
 (* ------------------------------------------------------------------ *)
 (* Bounded verification                                                *)

@@ -217,8 +217,10 @@ val simulate_scenarios :
     arrival by [s] base ticks (scenario 0 is the {!simulate} default).
     Returns one trace per scenario — identical to [scenarios]
     independent {!simulate} runs with the same environments, at a
-    fraction of the cost. [scenarios < 1] is a SIM-001 argument error;
-    a plan that cannot be built is COMPILE-001. *)
+    fraction of the cost. [scenarios < 1], or more scenarios than
+    {!Polysim.Compile.max_scenario_slots} allows for the kernel's
+    signals, is a SIM-001 argument error, decided before anything is
+    allocated; a plan that cannot be built is COMPILE-001. *)
 
 val global_base_us : analyzed -> int
 (** Microseconds of one simulated instant: the gcd of every

@@ -116,7 +116,8 @@ type plan = {
   p_ops : (t -> unit) array;       (* the schedule, compiled to closures *)
   p_n_free : int;                  (* statically free classes *)
   p_live : int array;              (* registers fed by a delay equation *)
-  p_decls : Ast.nvardecl list;     (* cached for cheap instantiation *)
+  p_non_inputs : int array;        (* signals no stimulus writes *)
+  p_header : Trace.header;         (* shared by every trace of the plan *)
 }
 
 and t = {
@@ -977,16 +978,16 @@ let compile_impl ?digest kp =
         (function Opres c -> compile_pres c | Oval i -> compile_val i)
         plan
     in
+    let signals_where p =
+      Array.of_list (List.filter p (List.init nsignals Fun.id))
+    in
     Ok
       { p_prog = prog; p_class_of = class_of; p_nclasses = nclasses;
         p_pdefs = pdefs; p_dag = dag; p_plan = plan; p_ops = ops;
         p_n_free = n_free;
-        p_live =
-          Array.of_list
-            (List.filter
-               (fun i -> prog.Prog.delay_src.(i) >= 0)
-               (List.init nsignals Fun.id));
-        p_decls = Prog.decls prog }
+        p_live = signals_where (fun i -> prog.Prog.delay_src.(i) >= 0);
+        p_non_inputs = signals_where (fun i -> not prog.Prog.is_input.(i));
+        p_header = Trace.header (Prog.decls prog) }
   with
   | Comp_error m -> Error m
   | Prog.Lower_error m -> Error m
@@ -1032,7 +1033,7 @@ let instantiate ?(scenarios = 1) pl =
               q_len = Array.make k 0;
               q_head = Array.make k 0 })
           prog.Prog.prims;
-      traces = Array.init k (fun _ -> Trace.create pl.p_decls);
+      traces = Array.init k (fun _ -> Trace.of_header pl.p_header);
       (* every stripe starts from the same initial state *)
       leader = Array.make k 0;
       served = Array.init k Fun.id;
@@ -1095,12 +1096,29 @@ let compile ?digest kp =
   Metrics.incr m_compilations;
   Result.map (fun pl -> instantiate pl) (plan_of ?digest kp)
 
+(* A K-scenario instance holds K x signals slots in each of its ten
+   per-signal arrays (about 80 bytes a slot), before any trace. *)
+let max_scenario_slots = 1 lsl 20
+
+let check_scenarios kp scenarios =
+  let n =
+    List.length kp.K.kinputs + List.length kp.K.koutputs
+    + List.length kp.K.klocals
+  in
+  if scenarios < 1 then
+    Error (Printf.sprintf "scenarios must be >= 1, got %d" scenarios)
+  else if scenarios > max_scenario_slots / max 1 n then
+    Error
+      (Printf.sprintf
+         "%d scenarios of %d signals exceed the limit of %d scenario \
+          slots (at most %d scenarios)"
+         scenarios n max_scenario_slots (max_scenario_slots / max 1 n))
+  else Ok ()
+
 let compile_scenarios ?digest kp ~scenarios =
-  if scenarios < 1 then Error "scenarios must be >= 1"
-  else begin
-    Metrics.incr m_compilations;
-    Result.map (fun pl -> instantiate ~scenarios pl) (plan_of ?digest kp)
-  end
+  Result.bind (check_scenarios kp scenarios) @@ fun () ->
+  Metrics.incr m_compilations;
+  Result.map (fun pl -> instantiate ~scenarios pl) (plan_of ?digest kp)
 
 let compile_uncached kp =
   Metrics.incr m_compilations;
@@ -1123,9 +1141,16 @@ let signal_index st x = Prog.index_opt st.prog x
 let signal_name st i = st.prog.Prog.names.(i)
 let is_input st i = st.prog.Prog.is_input.(i)
 
+(* only the inputs' slots: a stimulus writes nothing else, and the
+   other slots are reset by [exec_instant], so an instant a scenario
+   shares costs its inputs, not its signals *)
 let stim_clear st =
-  Array.fill st.has st.base_sig st.n false;
-  Array.fill st.stim_p st.base_sig st.n false
+  let inputs = st.prog.Prog.inputs in
+  for k = 0 to Array.length inputs - 1 do
+    let j = st.base_sig + inputs.(k) in
+    st.has.(j) <- false;
+    st.stim_p.(j) <- false
+  done
 
 let set_stim st i v =
   if i < 0 || i >= st.n then errf "stimulus index %d out of range" i;
@@ -1154,24 +1179,33 @@ let rec check_present st b i acc =
 let rec fill_row st b i k row =
   if i < st.n then
     if st.pres.(st.base_cls + st.class_of.(i)) then begin
-      row.(k) <- (i, slot_value st (b + i));
+      row.(k) <- Trace.cell st.pl.p_header i (slot_value st (b + i));
       fill_row st b (i + 1) (k + 1) row
     end
     else fill_row st b (i + 1) k row
 
 (* one instant for the selected scenario; stimulus must already be in
    the stim buffer. Allocation-free in steady state when recording is
-   off (and when on, allocates only the trace row). *)
+   off (and when on, allocates only the trace row and the cells of its
+   int, real and string values). *)
 let exec_instant st =
+  let b = st.base_sig in
+  (* [stim_clear] and the fill set the inputs' slots; the others may
+     still hold an instant this scenario shared, not executed *)
+  let non_inputs = st.pl.p_non_inputs in
+  for k = 0 to Array.length non_inputs - 1 do
+    st.has.(b + non_inputs.(k)) <- false
+  done;
   Array.fill st.pres st.base_cls st.nclasses false;
   let ops = st.ops in
   for k = 0 to Array.length ops - 1 do
     (Array.unsafe_get ops k) st
   done;
-  let b = st.base_sig in
   let class_of = st.class_of in
   (* sanity: inputs marked present must be in present classes *)
-  for i = 0 to st.n - 1 do
+  let inputs = st.prog.Prog.inputs in
+  for k = 0 to Array.length inputs - 1 do
+    let i = inputs.(k) in
     if st.stim_p.(b + i) && not st.pres.(st.base_cls + class_of.(i)) then
       errf "instant %d: input %s present against its derived clock"
         st.instants st.prog.Prog.names.(i)
@@ -1236,7 +1270,13 @@ let iter_present st f =
    always holds its true state: sharing only decides who computes it,
    so snapshots, state keys and traces need no materialization.
    Comparisons are exact: tags, ints and strings directly, floats by
-   bit pattern, queues by length and cells in logical order. *)
+   bit pattern, queues by length and cells in logical order.
+   The state is the delay registers and the queues, nothing else. The
+   per-instant slots of a scenario (values, [has], [pres]) are written
+   only when it executes, so after an instant it shared they still
+   hold an older instant; [stim_clear] resets the inputs' slots and
+   [exec_instant] the others, so a shared instant costs the inputs
+   and the state comparison, not the signals. *)
 
 let cell_equal (tg : int array) (ri : int array) (rr : float array)
     (rs : string array) ja jb =

@@ -26,7 +26,10 @@
     loop is allocation-flat: with trace recording off, {!run_batched}
     performs no per-instant heap allocation (values live in
     int/float/string payload arrays indexed by signal, tagged per
-    instant).
+    instant); with it on, an executed instant allocates its row and
+    the cells of its int, real and string values, since every trace
+    of an instance shares the plan's {!Trace.header} and its interned
+    bool and event cells.
 
     Compilation {e fails} (with a diagnostic) on programs whose
     combined presence/value dependency graph is cyclic — exactly the
@@ -45,7 +48,8 @@ val compile :
     (with a physical-equality fast path for repeated compiles of the
     same in-memory kernel) and shared between all instances of a
     kernel; each call returns a fresh mutable instance (own delay
-    registers, FIFO queues, trace). Instances over one plan are
+    registers, FIFO queues and trace; the trace's header is the
+    plan's). Instances over one plan are
     independent: stepping one never observes another, and distinct
     domains may each step their own instance concurrently (the shared
     plan is read-only at step time). *)
@@ -58,7 +62,17 @@ val compile_scenarios :
     presence bits, stimulus buffer, trace) in scenario-striped
     structure-of-arrays layout, all driven in lockstep by
     {!step_many} over the one shared plan. All scenarios start in the
-    same state. [scenarios] must be [>= 1]. *)
+    same state. [scenarios] must pass {!check_scenarios}; otherwise
+    its message is the [Error], and nothing is allocated. *)
+
+val max_scenario_slots : int
+(** The bound on [scenarios × signals] of one instance: its state is
+    that many slots in each of ten per-signal arrays. *)
+
+val check_scenarios :
+  Signal_lang.Kernel.kprocess -> int -> (unit, string) result
+(** [Error] unless [1 <= scenarios] and [scenarios × signals] is at
+    most {!max_scenario_slots}. Allocates nothing but the message. *)
 
 val compile_uncached : Signal_lang.Kernel.kprocess -> (t, string) result
 (** [compile] bypassing the plan memo: always rebuilds. For benches
@@ -159,13 +173,18 @@ val step_many : t -> fill:(t -> int -> unit) -> (unit, string) result
     scenario [s]'s stimulus equals, on every input slot, that of an
     earlier scenario that executed this instant from the same state,
     [s] does not execute: it copies that scenario's post-instant state
-    into its own stripe and records the same trace row. Every stripe
+    into its own stripe and records the same trace row. The state is
+    the delay registers and the queued FIFO contents: every stripe
     always holds its true state, so {!snapshot}, {!state_key},
     {!fork} and {!trace_of} see no difference; {!restore}, an [Error]
     and a {!run_batched} call (which steps scenario 0 only) forget
-    what is shared. A sweep therefore costs its distinct
-    (state, stimulus) pairs, not K times its instants. With one
-    scenario nothing is shared.
+    what is shared. The per-instant slots (signal values and
+    presence) of a scenario that did not execute the instant are
+    unspecified; only scenario 0, which always executes, is read
+    back. A sweep therefore costs its distinct (state, stimulus)
+    pairs plus, per shared scenario-instant, its inputs, not K times
+    its instants over all signals. With one scenario nothing is
+    shared.
 
     Counters: [compile.instants] counts every scenario-instant,
     executed or shared, so it reads K per call; [compile.shared_instants]

@@ -9,40 +9,78 @@ module Symbol = Putil.Symbol
    not names: the simulators push int-indexed rows straight from their
    per-instant arrays and names are only materialized by the printing
    and dumping layers. Each row is sorted by index, so point lookups
-   are a binary search over the present signals of that instant. *)
+   are a binary search over the present signals of that instant.
 
-type row = (int * Types.value) array
+   Everything that depends on the declarations alone lives in a
+   [header] that many traces share: the compiled stepper builds one
+   per plan, so a K-scenario instance builds its names and name
+   lookup once, not K times. The header also interns the row cells
+   of the boolean and event signals (most of a row, and most of them
+   repeat from instant to instant), so recording allocates cells only
+   for int, real and string values (and for a value whose kind is not
+   the signal's declared type, which then gets a cell of its own). *)
+
+type cell = int * Types.value
+type row = cell array
+
+type header = {
+  names : string array;
+  types : Types.styp array;
+  lookup : int Symbol.Tbl.t;        (* symbol -> index, -1 *)
+  cells : cell array;
+      (* [2i] and [2i+1]: the false and true cells of bool signal [i],
+         [2i+1] the cell of event signal [i] *)
+}
 
 type t = {
-  decls : Ast.bare Ast.gvardecl array;  (* mark-stripped: any phase in *)
-  names : string array;
-  lookup : int Symbol.Tbl.t;        (* symbol -> index, -1 *)
+  h : header;
   mutable steps : row array;
   mutable len : int;
 }
 
 let empty_row : row = [||]
+let empty_cell : cell = (0, Types.Vint 0)
 
-let strip_vardecl vd =
-  { Ast.var_name = vd.Ast.var_name; var_type = vd.Ast.var_type;
-    var_mark = Ast.Mbare }
-
-let create decl_list =
-  let decls = Array.of_list (List.map strip_vardecl decl_list) in
+let header decl_list =
+  let decls = Array.of_list decl_list in
   let names = Array.map (fun vd -> vd.Ast.var_name) decls in
   let lookup = Symbol.Tbl.create ~size:(Array.length decls) (-1) in
   Array.iteri
     (fun i name -> Symbol.Tbl.set lookup (Symbol.of_string name) i)
     names;
-  { decls; names; lookup; steps = Array.make 16 empty_row; len = 0 }
+  let types = Array.map (fun vd -> vd.Ast.var_type) decls in
+  let cells = Array.make (2 * Array.length decls) empty_cell in
+  Array.iteri
+    (fun i -> function
+      | Types.Tbool ->
+        cells.(2 * i) <- (i, Types.Vbool false);
+        cells.((2 * i) + 1) <- (i, Types.Vbool true)
+      | Types.Tevent -> cells.((2 * i) + 1) <- (i, Types.Vevent)
+      | Types.Tint | Types.Treal | Types.Tstring -> ())
+    types;
+  { names; types; lookup; cells }
 
-let declarations t = Array.to_list t.decls
+let cell h i v =
+  match v, h.types.(i) with
+  | Types.Vbool b, Types.Tbool -> h.cells.((2 * i) + Bool.to_int b)
+  | Types.Vevent, Types.Tevent -> h.cells.((2 * i) + 1)
+  | _ -> (i, v)
+
+let of_header h = { h; steps = Array.make 16 empty_row; len = 0 }
+
+let create decl_list = of_header (header decl_list)
+
+(* marks are not kept: traces record names, types and values only *)
+let declarations t =
+  List.init (Array.length t.h.names) (fun i ->
+      { Ast.var_name = t.h.names.(i); var_type = t.h.types.(i);
+        var_mark = Ast.Mbare })
 
 let index_of t x =
-  let i = Symbol.Tbl.get t.lookup (Symbol.of_string x) in
+  let i = Symbol.Tbl.get t.h.lookup (Symbol.of_string x) in
   if i >= 0 then Some i else None
 
-let name_of t i = t.names.(i)
+let name_of t i = t.h.names.(i)
 
 let push_row t row =
   if t.len >= Array.length t.steps then begin
@@ -56,7 +94,7 @@ let push_row t row =
 let push t present =
   (* compat path: resolve names and dedupe (last occurrence wins, as
      the previous hashtable representation did) *)
-  let n = Array.length t.decls in
+  let n = Array.length t.h.names in
   let tmp = Array.make n None in
   List.iter
     (fun (x, v) ->
@@ -67,13 +105,13 @@ let push t present =
   let count =
     Array.fold_left (fun acc o -> if o = None then acc else acc + 1) 0 tmp
   in
-  let row = Array.make count (0, Types.Vint 0) in
+  let row = Array.make count empty_cell in
   let k = ref 0 in
   Array.iteri
     (fun i o ->
       match o with
       | Some v ->
-        row.(!k) <- (i, v);
+        row.(!k) <- cell t.h i v;
         incr k
       | None -> ())
     tmp;
@@ -141,10 +179,7 @@ let tick_instants t x =
 
 let equal a b =
   a.len = b.len
-  && Array.length a.names = Array.length b.names
-  && (let ok = ref true in
-      Array.iteri (fun i n -> if n <> b.names.(i) then ok := false) a.names;
-      !ok)
+  && a.h.names = b.h.names
   &&
   let rows_ok = ref true in
   (try

@@ -3,9 +3,31 @@
 
 type t
 
+type header
+(** What a trace knows of its signals: their names, types and name
+    lookup, and the interned row cells of the two values of each
+    [bool] signal and of each [event] signal. It is immutable and may be
+    shared by any number of traces, across domains too: the compiled
+    simulator builds one header per plan, and every trace of every
+    instance over that plan shares it. *)
+
+val header : 'p Signal_lang.Ast.gvardecl list -> header
+(** Header over the given signal declarations (any phase; marks are
+    stripped — traces record names, types and values only). *)
+
+val of_header : header -> t
+(** Empty trace sharing the header. *)
+
 val create : 'p Signal_lang.Ast.gvardecl list -> t
-(** Empty trace over the given signal declarations (any phase; marks
-    are stripped — traces record names, types and values only). *)
+(** [of_header (header decls)]: an empty trace with a header of its
+    own. *)
+
+val cell :
+  header -> int -> Signal_lang.Types.value -> int * Signal_lang.Types.value
+(** [cell h i v] is the row cell [(i, v)]: the cell interned in [h]
+    when [v] is a boolean and [i] a [bool] signal, or [v] the event
+    and [i] an [event] signal, so recording it allocates nothing;
+    otherwise a fresh pair. *)
 
 val declarations : t -> Signal_lang.Ast.bare Signal_lang.Ast.gvardecl list
 
@@ -21,7 +43,8 @@ val push_row : t -> (int * Signal_lang.Types.value) array -> unit
     their values. The array is owned by the trace after the call and
     is immutable from then on: one row may be pushed into several
     traces (lockstep scenarios that share an instant share its row),
-    so no consumer may mutate a row it reads. *)
+    and rows share cells across instants and traces (the interned
+    cells of {!cell}), so no consumer may mutate a row it reads. *)
 
 val index_of : t -> Signal_lang.Ast.ident -> int option
 (** Declaration index of a signal name. *)

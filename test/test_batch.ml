@@ -3,6 +3,7 @@
    fixpoint interpreter, and allocation-flat in steady state. *)
 
 module Ast = Signal_lang.Ast
+module B = Signal_lang.Builder
 module Types = Signal_lang.Types
 module N = Signal_lang.Normalize
 module Engine = Polysim.Engine
@@ -185,7 +186,32 @@ let test_default_engine_errors () =
   Alcotest.(check int) "no fallback on a step error" before (fallbacks ());
   Alcotest.(check (pair string string)) "scenarios:0"
     ("SIM-001", "scenarios must be >= 1, got 0")
-    (diag (Polychrony.Pipeline.simulate_scenarios ~scenarios:0 a))
+    (diag (Polychrony.Pipeline.simulate_scenarios ~scenarios:0 a));
+  (* K x signals over the declared limit is refused before the K-sized
+     state exists: no Out_of_memory, no Invalid_argument out of
+     Array.make, and next to no allocation *)
+  let huge = 1_000_000_000 in
+  let n = Signal_lang.Kernel.st_count (Signal_lang.Kernel.sigtab a.kernel) in
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  let got = diag (Polychrony.Pipeline.simulate_scenarios ~scenarios:huge a) in
+  let major = (Gc.quick_stat ()).Gc.major_words -. w0 in
+  Alcotest.(check (pair string string)) "scenarios:10^9"
+    ( "SIM-001",
+      Printf.sprintf
+        "%d scenarios of %d signals exceed the limit of %d scenario slots \
+         (at most %d scenarios)"
+        huge n Compile.max_scenario_slots (Compile.max_scenario_slots / n) )
+    got;
+  Alcotest.(check bool)
+    (Printf.sprintf "scenarios:10^9 allocates no state (%.0f major words)"
+       major)
+    true (major < 1000.);
+  Alcotest.(check bool) "compile_scenarios refuses it too" true
+    (Result.is_error (Compile.compile_scenarios a.kernel ~scenarios:huge));
+  let most = Compile.max_scenario_slots / n in
+  Alcotest.(check bool) "the limit itself is accepted" true
+    (Result.is_ok (Compile.check_scenarios a.kernel most)
+     && Result.is_error (Compile.check_scenarios a.kernel (most + 1)))
 
 (* random kernels: batched and lockstep stepping agree with the
    one-instant loop (reusing the clock-consistent generator of
@@ -302,14 +328,94 @@ let test_steady_state_allocation_flat () =
     true
     (d_long -. d_short < 256.)
 
-(* ---- lockstep sharing ---- *)
-
 let case_kernel = lazy (analyzed ()).Polychrony.Pipeline.kernel
 
 let case_index c x =
   match Compile.signal_index c x with
   | Some i -> i
   | None -> Alcotest.fail ("case study has no signal " ^ x)
+
+(* Minor words of [f ()]: deterministic for a given build, so the
+   bounds below are exact gates, not timings. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+let check_words what ~bound words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f minor words (bound %.0f)" what words bound)
+    true (words <= bound)
+
+(* With recording on, simulation pays for the instants it executes,
+   not for signals x scenarios: an instance over a memoized plan
+   shares the plan's trace header (no per-trace name interning), a
+   scenario that shares an instant touches only its inputs, and rows
+   reuse the header's interned bool/event cells. *)
+let test_allocation_per_instant () =
+  let kp = Lazy.force case_kernel in
+  ignore (Result.get_ok (Compile.compile kp));
+  let c, w = minor_words (fun () -> Result.get_ok (Compile.compile kp)) in
+  check_words "compile from a memoized plan" ~bound:2_000. w;
+  let k = 16 in
+  let cs, w =
+    minor_words (fun () ->
+        Result.get_ok (Compile.compile_scenarios kp ~scenarios:k))
+  in
+  check_words "compile_scenarios ~scenarios:16" ~bound:8_000. w;
+  let tick = case_index c "tick" and go = case_index c "env_pGo" in
+  (* the CLI's stimulus: a tick per base instant, an arrival on the
+     environment input at instant [s] of scenario [s] *)
+  let fill c s t =
+    Compile.set_stim c tick ve;
+    if t = s then Compile.set_stim c go (vi 1)
+  in
+  let n = 480 in
+  let r, w =
+    minor_words (fun () ->
+        Compile.run_batched c ~n ~fill:(fun c t -> fill c 0 t))
+  in
+  if Result.is_error r then Alcotest.fail "run_batched failed";
+  check_words "run_batched, per instant" ~bound:500. (w /. float_of_int n);
+  let (), w =
+    minor_words (fun () ->
+        for t = 0 to n - 1 do
+          match Compile.step_many cs ~fill:(fun c s -> fill c s t) with
+          | Ok () -> ()
+          | Error m -> Alcotest.fail m
+        done)
+  in
+  check_words "step_many at K = 16, per scenario-instant" ~bound:40.
+    (w /. float_of_int (k * n))
+
+(* A stepping call clears only the inputs' slots and an executed
+   instant resets the others, so no value of an earlier instant leaks
+   into this one. [q := a / d] fails at instant 1 after the class of
+   [x := q + 1] is decided but before [x] is computed: [x] is present
+   without a value, although it had one at instant 0. *)
+let test_no_stale_slots () =
+  let p =
+    B.proc ~name:"div"
+      ~inputs:[ Ast.var "a" Types.Tint; Ast.var "d" Types.Tint ]
+      ~outputs:[ Ast.var "x" Types.Tint ]
+      ~locals:[ Ast.var "q" Types.Tint ]
+      B.[ "q" := v "a" / v "d"; "x" := v "q" + i 1 ]
+  in
+  let c = Result.get_ok (Compile.compile (N.process_exn p)) in
+  let x = case_index c "x" in
+  let step a d =
+    Compile.run_batched c ~n:1 ~fill:(fun c _ ->
+        fill_assoc c [ ("a", vi a); ("d", vi d) ])
+  in
+  let value () = Option.map Types.value_to_string (Compile.out_value c x) in
+  Alcotest.(check (result unit string)) "instant 0" (Ok ()) (step 4 2);
+  Alcotest.(check (option string)) "x at instant 0" (Some "3") (value ());
+  Alcotest.(check (result unit string)) "instant 1"
+    (Error "instant 1: division by zero") (step 1 0);
+  Alcotest.(check bool) "x's class is decided" true (Compile.out_present c x);
+  Alcotest.(check (option string)) "x has no value" None (value ())
+
+(* ---- lockstep sharing ---- *)
 
 (* Sweeps over the case study whose scenarios merge, diverge and merge
    again: scenario [s]'s first arrival comes [s * gap] ticks late, a
@@ -544,6 +650,9 @@ let suite =
          test_default_engine_errors;
        Alcotest.test_case "steady-state allocation flat" `Quick
          test_steady_state_allocation_flat;
+       Alcotest.test_case "allocation per executed instant" `Quick
+         test_allocation_per_instant;
+       Alcotest.test_case "no stale slots" `Quick test_no_stale_slots;
        Alcotest.test_case "sharing: snapshot, restore" `Quick
          test_sharing_snapshot_restore;
        Alcotest.test_case "sharing: partial steps reset it" `Quick
