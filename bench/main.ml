@@ -378,10 +378,13 @@ let run_benchs name tests =
 (* Medians, in ns per call, of [samples] interleaved timings of [f]
    and [g], each sample timing [iters] calls of its side after one
    warm-up sample per side. Alternating the sides cancels the clock
-   drift and cache warm-up that two separate estimates pick up, so a
-   gate on these medians is decided by the code, not by the moment. *)
+   drift and cache warm-up that two separate estimates pick up, and a
+   full collection before each sample keeps one side's garbage from
+   being collected on the other side's clock, so a gate on these
+   medians is decided by the code, not by the moment. *)
 let interleaved_medians ~samples (iters_f, f) (iters_g, g) =
   let sample iters h =
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do
       h ()
@@ -850,24 +853,25 @@ let bench_edit_recheck () =
     | Ok a -> a
     | Error ds -> failwith (Putil.Diag.list_to_string ds)
   in
-  let iters = 20 in
   (* cold: fresh session and cold clock-calculus memo every run *)
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
+  let cold () =
     Clocks.Calculus.reset_cache ();
     let session = P.new_session () in
     ignore (analyze ~session src)
-  done;
-  let cold_ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
+  in
   (* incremental: one warm session; alternate the period edit so every
      re-analysis sees source that really changed since the last run *)
   let session = P.new_session () in
   ignore (analyze ~session src);
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to iters do
-    ignore (analyze ~session (if i land 1 = 1 then edited else src))
-  done;
-  let incr_ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
+  let edits = ref 0 in
+  let incremental () =
+    incr edits;
+    ignore (analyze ~session (if !edits land 1 = 1 then edited else src))
+  in
+  let samples = 15 in
+  let cold_ns, incr_ns =
+    interleaved_medians ~samples (2, cold) (10, incremental)
+  in
   all_rows :=
     !all_rows
     @ [ ("edit-recheck/cold-full", cold_ns);
@@ -876,8 +880,10 @@ let bench_edit_recheck () =
     (cold_ns /. 1e6);
   Format.printf "  %-52s %10.3f ms/run@." "edit-recheck/incremental"
     (incr_ns /. 1e6);
-  Format.printf "  speedup: %.1fx (acceptance floor: 5x)@."
-    (cold_ns /. incr_ns);
+  Format.printf
+    "  speedup: %.1fx (medians of %d interleaved samples; acceptance \
+     floor: 5x)@."
+    (cold_ns /. incr_ns) samples;
   if cold_ns < 5.0 *. incr_ns then
     failwith "edit-recheck bench: incremental path under the 5x floor"
 
@@ -977,21 +983,19 @@ let bench_warm_start () =
       (* populate the store once; every timed run below reopens it *)
       Clocks.Calculus.reset_cache ();
       ignore (analyze ~session:(P.new_session ~store:(open_store ()) ()) ());
-      let iters = 10 in
-      let run ~with_store =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to iters do
-          Clocks.Calculus.reset_cache ();
-          let session =
-            if with_store then P.new_session ~store:(open_store ()) ()
-            else P.new_session ()
-          in
-          ignore (analyze ~session ())
-        done;
-        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
+      let run ~with_store () =
+        Clocks.Calculus.reset_cache ();
+        let session =
+          if with_store then P.new_session ~store:(open_store ()) ()
+          else P.new_session ()
+        in
+        ignore (analyze ~session ())
       in
-      let cold_ns = run ~with_store:false in
-      let warm_ns = run ~with_store:true in
+      let samples = 15 in
+      let cold_ns, warm_ns =
+        interleaved_medians ~samples
+          (4, run ~with_store:false) (4, run ~with_store:true)
+      in
       all_rows :=
         !all_rows
         @ [ ("warm-start/no-store", cold_ns);
@@ -1000,8 +1004,10 @@ let bench_warm_start () =
         (cold_ns /. 1e6);
       Format.printf "  %-52s %10.3f ms/run@." "warm-start/with-store"
         (warm_ns /. 1e6);
-      Format.printf "  speedup: %.1fx (acceptance floor: 5x)@."
-        (cold_ns /. warm_ns);
+      Format.printf
+        "  speedup: %.1fx (medians of %d interleaved samples; acceptance \
+         floor: 5x)@."
+        (cold_ns /. warm_ns) samples;
       if cold_ns < 5.0 *. warm_ns then
         failwith "warm-start bench: store-backed session under the 5x floor")
 

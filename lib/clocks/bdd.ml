@@ -43,9 +43,11 @@ type manager = {
   mutable gc_swept : int;        (* dead nodes reclaimed, cumulative *)
 }
 
-let initial_capacity = 1024
-let initial_table = 4096   (* unique table; power of two *)
-let initial_cache = 32768  (* apply cache; power of two *)
+(* A manager starts small and grows with its node count: the unique
+   table stays under 50% load, and the apply cache keeps one entry per
+   node up to [cache_maybe_grow]'s bound. *)
+let initial_capacity = 1024  (* nodes and apply cache; power of two *)
+let initial_table = 2048     (* unique table; power of two *)
 
 let node_limit = 1 lsl 30  (* ids must pack into 30 bits of an apply key *)
 
@@ -57,9 +59,9 @@ let manager () =
       not_of = Array.make initial_capacity (-1);
       next = 2;
       uniq = Array.make initial_table 0;
-      cache_key = Array.make initial_cache 0;
-      cache_val = Array.make initial_cache 0;
-      cache_mask = initial_cache - 1;
+      cache_key = Array.make initial_capacity 0;
+      cache_val = Array.make initial_capacity 0;
+      cache_mask = initial_capacity - 1;
       applies = 0;
       apply_hits = 0;
       rp_key_a = [||];
@@ -272,6 +274,18 @@ let rec apply m op a b =
   end
 
 let and_ m a b = apply m op_and a b
+
+(* halves of similar size meet at each level, so no operand grows into
+   the running conjunction of everything before it *)
+let conj m xs =
+  let rec go lo hi =
+    if hi - lo = 1 then xs.(lo)
+    else
+      let mid = (lo + hi) / 2 in
+      and_ m (go lo mid) (go mid hi)
+  in
+  if Array.length xs = 0 then 1 else go 0 (Array.length xs)
+
 let or_ m a b = apply m op_or a b
 let xor_ m a b = apply m op_xor a b
 let diff m a b = apply m op_and a (not_ m b)
@@ -437,13 +451,12 @@ let rec and_exists m ~cube:c a b =
   end
 
 (* [rename m ~map] substitutes variable [v] by [map.(v)] (identity
-   beyond the array) for a map injective on the argument's support. A
-   node whose target variable still tests before its renamed children
-   is a direct [mk] — always so for an order-preserving map such as the
-   next→current shift on interleaved rails; otherwise the map reorders
-   variables and the node is rebuilt as [ite(map v, hi, lo)] through
-   [apply]. The memo lives in the closure: partially applied to
-   [~map], one pass serves every root that shares nodes. *)
+   beyond the array) for a map that keeps the order of the argument's
+   support, such as the next→current shift on interleaved rails: every
+   node is one [mk] over its renamed children. A map that reorders the
+   support would need each node rebuilt through [apply]; it is
+   rejected instead. The memo lives in the closure: partially applied
+   to [~map], one pass serves every root that shares nodes. *)
 let rename m ~map =
   let memo = Hashtbl.create 64 in
   let rec go n =
@@ -455,12 +468,9 @@ let rename m ~map =
         let v = m.var_of.(n) in
         let v' = if v < Array.length map then map.(v) else v in
         let hi = go m.high_of.(n) and lo = go m.low_of.(n) in
-        let r =
-          if v' < m.var_of.(hi) && v' < m.var_of.(lo) then mk m v' lo hi
-          else
-            let x = var m v' in
-            or_ m (and_ m x hi) (and_ m (not_ m x) lo)
-        in
+        if v' >= m.var_of.(hi) || v' >= m.var_of.(lo) then
+          invalid_arg "Bdd.rename: the map reorders the support";
+        let r = mk m v' lo hi in
         Hashtbl.add memo n r;
         r
   in

@@ -5,7 +5,8 @@
     clock equality, inclusion and exclusion are O(1)/O(n·m) decisions.
     Nodes are hash-consed: structural equality is physical equality.
 
-    A fresh manager is cheap; all nodes belong to the manager that
+    A fresh manager is cheap (its tables start at a few thousand
+    words and grow with its node count); all nodes belong to the manager that
     created them and must not be mixed across managers. *)
 
 type manager
@@ -30,6 +31,11 @@ val diff : manager -> t -> t -> t
 (** [diff m a b] is [a ∧ ¬b]. *)
 
 val imp : manager -> t -> t -> t
+
+val conj : manager -> t array -> t
+(** The conjunction of the array, [one] when it is empty, built as a
+    balanced tree of {!and_}: operands of similar size meet at each
+    level. *)
 
 val equal : t -> t -> bool
 (** Physical equality (valid thanks to hash-consing). *)
@@ -66,13 +72,13 @@ val and_exists : manager -> cube:t -> t -> t -> t
 
 val rename : manager -> map:int array -> t -> t
 (** [rename m ~map a] substitutes variable [v] by [map.(v)] (identity
-    past the end of the array), for a [map] injective on the support
-    of [a]. The map may reorder variables — the result is rebuilt in
-    the target order — and costs one [mk] per node when it keeps the
-    order (e.g. the next→current shift on interleaved variable rails).
-    Partially applied to [~map], the returned function shares one memo
-    across calls, so renaming many roots that share nodes walks each
-    node once; that memo is invalid after a {!gc}. *)
+    past the end of the array), for a [map] that keeps the order of
+    the support of [a] (e.g. the next→current shift on interleaved
+    variable rails): one [mk] per node. Partially applied to [~map],
+    the returned function shares one memo across calls, so renaming
+    many roots that share nodes walks each node once; that memo is
+    invalid after a {!gc}.
+    @raise Invalid_argument when [map] reorders the support of [a]. *)
 
 val sat_count : manager -> vars:int array -> t -> float
 (** Number of satisfying assignments over exactly the variables in

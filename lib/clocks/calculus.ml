@@ -268,7 +268,6 @@ let analyze_impl (kp : K.kprocess) =
   for i = n - 1 downto 0 do
     reprs.(class_ids.(i)) <- i
   done;
-  let mgr = Bdd.manager () in
   let confl = ref [] in
   let defmap = defmap_of kp in
   let atrue = always_true_set kp defmap in
@@ -334,181 +333,196 @@ let analyze_impl (kp : K.kprocess) =
             ki.K.ki_label
           :: !confl)
     kp.K.kinstances;
-  (* Phase 3: clock BDD per class, with cycle cut-off. Variables are
-     numbered in discovery order here; Φ is built only after phase 4
-     has reordered them. *)
-  let nvars = ref 0 and docs = ref [] in
-  let fresh_var doc =
-    let v = !nvars in
-    incr nvars;
-    docs := doc :: !docs;
-    v
-  in
-  let cond_vars : (Ast.ident, int) Hashtbl.t = Hashtbl.create 16 in
-  let lit_bdd b pos =
-    let v =
-      match Hashtbl.find_opt cond_vars b with
-      | Some v -> v
-      | None ->
-        let v = fresh_var (`Cond b) in
-        Hashtbl.replace cond_vars b v;
-        v
+  let constraints = kp.K.kconstraints @ !prim_constraints in
+  Metrics.incr ~by:(List.length constraints) m_constraints;
+  (* Phases 3–4, clocks and Φ's conjuncts, as one construction into
+     [mgr] that numbers the i-th fresh variable [number i]. It runs
+     twice (DESIGN §12, "Clock-calculus variable order"): once in
+     discovery order, only to read the conjuncts' supports, and once
+     in the order computed from them, so every clock and conjunct is
+     built directly as its final BDD. Fresh variables are drawn in the
+     same sequence on both runs: the walk depends on the definitions
+     alone, never on a BDD. *)
+  let construct mgr ~number =
+    let nvars = ref 0 and docs = ref [] in
+    let fresh_var doc =
+      let v = number !nvars in
+      incr nvars;
+      docs := doc :: !docs;
+      v
     in
-    let bv = Bdd.var mgr v in
-    if pos then bv else Bdd.not_ mgr bv
-  in
-  (* one variable per (signal, constant) equality; equalities of the
-     same signal against distinct constants exclude each other in Φ *)
-  let eq_vars : (Ast.ident * int, int) Hashtbl.t = Hashtbl.create 8 in
-  let eq_bdd x k pos =
-    let v =
-      match Hashtbl.find_opt eq_vars (x, k) with
-      | Some v -> v
-      | None ->
-        let v = fresh_var (`CondEq (x, k)) in
-        Hashtbl.replace eq_vars (x, k) v;
-        v
+    let cond_vars : (Ast.ident, int) Hashtbl.t = Hashtbl.create 16 in
+    let lit_bdd b pos =
+      let v =
+        match Hashtbl.find_opt cond_vars b with
+        | Some v -> v
+        | None ->
+          let v = fresh_var (`Cond b) in
+          Hashtbl.replace cond_vars b v;
+          v
+      in
+      let bv = Bdd.var mgr v in
+      if pos then bv else Bdd.not_ mgr bv
     in
-    let bv = Bdd.var mgr v in
-    if pos then bv else Bdd.not_ mgr bv
-  in
-  let rec cond_bdd = function
-    | Ftrue -> Bdd.one mgr
-    | Ffalse -> Bdd.zero mgr
-    | Flit (b, pos) -> lit_bdd b pos
-    | Feq (x, k, pos) -> eq_bdd x k pos
-    | Fand (a, b) -> Bdd.and_ mgr (cond_bdd a) (cond_bdd b)
-    | For (a, b) -> Bdd.or_ mgr (cond_bdd a) (cond_bdd b)
-  in
-  let status = Array.make (max nclasses 1) `Todo in
-  let clocks = Array.make (max nclasses 1) (Bdd.one mgr) in
-  let free_clock c =
-    let v = fresh_var (`Present c) in
-    Bdd.var mgr v
-  in
-  (* A class may have several definitions (merged by [^=]) and they may
-     be mutually recursive through memory patterns. Each definition is
-     tried in turn; one whose evaluation loops back to the class itself
-     is abandoned ([Cyclic]) and retried as a Φ constraint once the
-     class got its clock from an acyclic definition — or from a fresh
-     free variable when every definition is cyclic. *)
-  let exception Cyclic in
-  let rec clock_of_class c =
-    match status.(c) with
-    | `Done -> clocks.(c)
-    | `Busy -> raise Cyclic
-    | `Todo -> (
-      status.(c) <- `Busy;
-      let eval = function
-        | Dwhen (base, bclass, lit) ->
-          let opt = function
-            | Some ci -> clock_of_class ci
-            | None -> Bdd.one mgr
-          in
-          Bdd.and_ mgr (opt base) (Bdd.and_ mgr (opt bclass) (cond_bdd lit))
-        | Dunion cs ->
-          List.fold_left
-            (fun acc ci -> Bdd.or_ mgr acc (clock_of_class ci))
-            (Bdd.zero mgr) cs
+    (* one variable per (signal, constant) equality; equalities of the
+       same signal against distinct constants exclude each other in Φ *)
+    let eq_vars : (Ast.ident * int, int) Hashtbl.t = Hashtbl.create 8 in
+    let eq_bdd x k pos =
+      let v =
+        match Hashtbl.find_opt eq_vars (x, k) with
+        | Some v -> v
+        | None ->
+          let v = fresh_var (`CondEq (x, k)) in
+          Hashtbl.replace eq_vars (x, k) v;
+          v
       in
-      (* definitions in source order: in translated programs the
-         driving definition (e.g. the scheduler's event) precedes
-         memory feedback, so trying them in order avoids most cuts *)
-      let all_defs =
-        List.rev (Option.value ~default:[] (Hashtbl.find_opt defs c))
-      in
-      (* choose the first acyclically evaluable definition *)
-      let chosen = ref None in
-      let deferred = ref [] in
-      List.iter
-        (fun d ->
-          match !chosen with
-          | Some _ -> deferred := d :: !deferred
-          | None -> (
-            match eval d with
-            | b -> chosen := Some b
-            | exception Cyclic -> deferred := d :: !deferred))
-        all_defs;
-      (match !chosen with
-       | Some b -> clocks.(c) <- b
-       | None -> clocks.(c) <- free_clock c);
-      status.(c) <- `Done;
-      (* deferred/redundant definitions become context constraints,
-         processed after every class has its clock *)
-      List.iter (fun d -> pending_constraints := (c, d) :: !pending_constraints)
-        !deferred;
-      clocks.(c))
-  and pending_constraints = ref [] in
-  for c = 0 to nclasses - 1 do
-    match clock_of_class c with
-    | _ -> ()
-    | exception Cyclic -> ()
-  done;
-  (* Phase 4: Φ's conjuncts, collected rather than conjoined, so that
-     Φ is built once under the order they induce (DESIGN §12, "Clock-
-     calculus variable order"). Declared and primitive constraints
-     come first, then the deferred definitions (all classes are Done,
-     so they evaluate without cycles and pin the free variables), then
-     one at-most-one chain per compared signal. *)
-  let clock_of_sig x = clocks.(class_of x) in
-  let declared =
-    List.filter_map
-      (fun c ->
-        Metrics.incr m_constraints;
-        match c with
-        | K.Ceq _ -> None
-        | K.Cle (a, b) -> Some (Bdd.imp mgr (clock_of_sig a) (clock_of_sig b))
-        | K.Cex (a, b) ->
-          Some (Bdd.not_ mgr (Bdd.and_ mgr (clock_of_sig a) (clock_of_sig b))))
-      (kp.K.kconstraints @ !prim_constraints)
+      let bv = Bdd.var mgr v in
+      if pos then bv else Bdd.not_ mgr bv
+    in
+    let rec cond_bdd = function
+      | Ftrue -> Bdd.one mgr
+      | Ffalse -> Bdd.zero mgr
+      | Flit (b, pos) -> lit_bdd b pos
+      | Feq (x, k, pos) -> eq_bdd x k pos
+      | Fand (a, b) -> Bdd.and_ mgr (cond_bdd a) (cond_bdd b)
+      | For (a, b) -> Bdd.or_ mgr (cond_bdd a) (cond_bdd b)
+    in
+    (* Phase 3: clock BDD per class, with cycle cut-off. *)
+    let status = Array.make (max nclasses 1) `Todo in
+    let clocks = Array.make (max nclasses 1) (Bdd.one mgr) in
+    let free_clock c =
+      let v = fresh_var (`Present c) in
+      Bdd.var mgr v
+    in
+    (* A class may have several definitions (merged by [^=]) and they
+       may be mutually recursive through memory patterns. Each
+       definition is tried in turn; one whose evaluation loops back to
+       the class itself is abandoned ([Cyclic]) and retried as a Φ
+       constraint once the class got its clock from an acyclic
+       definition — or from a fresh free variable when every definition
+       is cyclic. *)
+    let exception Cyclic in
+    let rec clock_of_class c =
+      match status.(c) with
+      | `Done -> clocks.(c)
+      | `Busy -> raise Cyclic
+      | `Todo -> (
+        status.(c) <- `Busy;
+        let eval = function
+          | Dwhen (base, bclass, lit) ->
+            let opt = function
+              | Some ci -> clock_of_class ci
+              | None -> Bdd.one mgr
+            in
+            Bdd.and_ mgr (opt base) (Bdd.and_ mgr (opt bclass) (cond_bdd lit))
+          | Dunion cs ->
+            List.fold_left
+              (fun acc ci -> Bdd.or_ mgr acc (clock_of_class ci))
+              (Bdd.zero mgr) cs
+        in
+        (* definitions in source order: in translated programs the
+           driving definition (e.g. the scheduler's event) precedes
+           memory feedback, so trying them in order avoids most cuts *)
+        let all_defs =
+          List.rev (Option.value ~default:[] (Hashtbl.find_opt defs c))
+        in
+        (* choose the first acyclically evaluable definition *)
+        let chosen = ref None in
+        let deferred = ref [] in
+        List.iter
+          (fun d ->
+            match !chosen with
+            | Some _ -> deferred := d :: !deferred
+            | None -> (
+              match eval d with
+              | b -> chosen := Some b
+              | exception Cyclic -> deferred := d :: !deferred))
+          all_defs;
+        (match !chosen with
+         | Some b -> clocks.(c) <- b
+         | None -> clocks.(c) <- free_clock c);
+        status.(c) <- `Done;
+        (* deferred/redundant definitions become context constraints,
+           processed after every class has its clock *)
+        List.iter
+          (fun d -> pending_constraints := (c, d) :: !pending_constraints)
+          !deferred;
+        clocks.(c))
+    and pending_constraints = ref [] in
+    for c = 0 to nclasses - 1 do
+      match clock_of_class c with
+      | _ -> ()
+      | exception Cyclic -> ()
+    done;
+    (* Phase 4: Φ's conjuncts. Declared and primitive constraints come
+       first, then the deferred definitions (all classes are Done, so
+       they evaluate without cycles and pin the free variables), then
+       one at-most-one chain per compared signal. *)
+    let clock_of_sig x = clocks.(class_of x) in
+    let declared =
+      List.filter_map
+        (function
+          | K.Ceq _ -> None
+          | K.Cle (a, b) -> Some (Bdd.imp mgr (clock_of_sig a) (clock_of_sig b))
+          | K.Cex (a, b) ->
+            Some (Bdd.not_ mgr (Bdd.and_ mgr (clock_of_sig a) (clock_of_sig b))))
+        constraints
+    in
+    let eval_done = function
+      | Dwhen (base, bclass, lit) ->
+        let opt = function
+          | Some ci -> clocks.(ci)
+          | None -> Bdd.one mgr
+        in
+        Bdd.and_ mgr (opt base) (Bdd.and_ mgr (opt bclass) (cond_bdd lit))
+      | Dunion cs ->
+        List.fold_left
+          (fun acc ci -> Bdd.or_ mgr acc clocks.(ci))
+          (Bdd.zero mgr) cs
+    in
+    let deferred =
+      List.map
+        (fun (c, d) ->
+          let bi = eval_done d in
+          Bdd.and_ mgr (Bdd.imp mgr bi clocks.(c)) (Bdd.imp mgr clocks.(c) bi))
+        (List.rev !pending_constraints)
+    in
+    (* the m(m-1)/2 pairwise exclusions of a signal's constants as one
+       chain of 2m nodes, built from its last variable up over two
+       functions of the variables seen so far: [amo], at most one holds,
+       and [none], none holds (what is left once a variable above
+       holds) *)
+    let at_most_one vs =
+      fst
+        (List.fold_right
+           (fun v (amo, none) ->
+             let x = Bdd.var mgr v in
+             let nx = Bdd.not_ mgr x in
+             ( Bdd.or_ mgr (Bdd.and_ mgr x none) (Bdd.and_ mgr nx amo),
+               Bdd.and_ mgr nx none ))
+           vs (Bdd.one mgr, Bdd.one mgr))
+    in
+    let constants = Hashtbl.create 8 in
+    Hashtbl.iter
+      (fun (x, _) v ->
+        Hashtbl.replace constants x
+          (v :: Option.value ~default:[] (Hashtbl.find_opt constants x)))
+      eq_vars;
+    let exclusions =
+      Hashtbl.fold
+        (fun _ vs acc ->
+          match List.sort compare vs with
+          | _ :: _ :: _ as vs -> vs :: acc
+          | _ -> acc)
+        constants []
+      |> List.sort compare |> List.map at_most_one
+    in
+    ( clocks,
+      Array.of_list (declared @ deferred @ exclusions),
+      Array.of_list (List.rev !docs) )
   in
-  let eval_done = function
-    | Dwhen (base, bclass, lit) ->
-      let opt = function
-        | Some ci -> clocks.(ci)
-        | None -> Bdd.one mgr
-      in
-      Bdd.and_ mgr (opt base) (Bdd.and_ mgr (opt bclass) (cond_bdd lit))
-    | Dunion cs ->
-      List.fold_left
-        (fun acc ci -> Bdd.or_ mgr acc clocks.(ci))
-        (Bdd.zero mgr) cs
-  in
-  let deferred =
-    List.map
-      (fun (c, d) ->
-        let bi = eval_done d in
-        Bdd.and_ mgr (Bdd.imp mgr bi clocks.(c)) (Bdd.imp mgr clocks.(c) bi))
-      (List.rev !pending_constraints)
-  in
-  (* the m(m-1)/2 pairwise exclusions of a signal's constants as one
-     chain of 2m nodes, built from its last variable up over two
-     functions of the variables seen so far: [amo], at most one holds,
-     and [none], none holds (what is left once a variable above holds) *)
-  let at_most_one vs =
-    fst
-      (List.fold_right
-         (fun v (amo, none) ->
-           let x = Bdd.var mgr v in
-           let nx = Bdd.not_ mgr x in
-           ( Bdd.or_ mgr (Bdd.and_ mgr x none) (Bdd.and_ mgr nx amo),
-             Bdd.and_ mgr nx none ))
-         vs (Bdd.one mgr, Bdd.one mgr))
-  in
-  let constants = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun (x, _) v ->
-      Hashtbl.replace constants x
-        (v :: Option.value ~default:[] (Hashtbl.find_opt constants x)))
-    eq_vars;
-  let exclusions =
-    Hashtbl.fold
-      (fun _ vs acc ->
-        match List.sort compare vs with _ :: _ :: _ as vs -> vs :: acc | _ -> acc)
-      constants []
-    |> List.sort compare |> List.map at_most_one
-  in
-  let conjuncts = Array.of_list (declared @ deferred @ exclusions) in
+  let discovery = Bdd.manager () in
+  let _, conjuncts, discovered = construct discovery ~number:Fun.id in
   (* Variable order: the variables no conjunct mentions in discovery
      order, then first appearance over the conjuncts' supports, in
      conjunct order; a satellite — a variable whose only conjunct links
@@ -518,8 +532,8 @@ let analyze_impl (kp : K.kprocess) =
      Φ does not depend on the unmentioned variables, so placing them
      first leaves it unchanged; a clock query then branches on them
      before it walks Φ. *)
-  let nvars = !nvars in
-  let supports = Array.map (Bdd.support mgr) conjuncts in
+  let nvars = Array.length discovered in
+  let supports = Array.map (Bdd.support discovery) conjuncts in
   let occurs = Array.make nvars 0 and partner = Array.make nvars (-1) in
   Array.iter
     (fun sp ->
@@ -559,24 +573,16 @@ let analyze_impl (kp : K.kprocess) =
   List.iter
     (fun v -> if not (satellite v) then (put v; List.iter put satellites.(v)))
     (List.rev !appearance);
-  let discovered = Array.of_list (List.rev !docs) in
-  (* move clocks and conjuncts into the new order in the same manager,
-     sweep the discovery-order nodes, then conjoin Φ *)
-  let rename = Bdd.rename mgr ~map:rank in
-  let nc = Array.length clocks in
-  let roots = Array.map rename (Array.append clocks conjuncts) in
-  ignore (Bdd.gc mgr ~roots);
-  let phi =
-    Array.fold_left (Bdd.and_ mgr) (Bdd.one mgr)
-      (Array.sub roots nc (Array.length conjuncts))
-  in
+  let mgr = Bdd.manager () in
+  let clocks, conjuncts, _ = construct mgr ~number:(Array.get rank) in
+  let phi = Bdd.conj mgr conjuncts in
   let confl =
     if Bdd.is_zero phi then
       "clock constraint system is unsatisfiable" :: !confl
     else !confl
   in
-  { mgr; tab; names; class_ids; reprs; clocks = Array.sub roots 0 nc; phi;
-    confl; var_doc = Array.map (Array.get discovered) order;
+  { mgr; tab; names; class_ids; reprs; clocks; phi; confl;
+    var_doc = Array.map (Array.get discovered) order;
     qmu = Mutex.create () }
 
 (* Analyses are memoized on the kernel's structural digest: the state

@@ -20,12 +20,14 @@
     Variables no conjunct of Φ mentions come first, in discovery
     order; the others are numbered by first appearance over Φ's
     conjuncts, a variable tied to a single partner right behind it,
-    so that each
-    constraint's variables sit together and Φ grows linearly with
-    replicated subsystems; the clocks derived in discovery order are
-    permuted into that order before Φ is built (DESIGN.md §12,
-    "Clock-calculus variable order"). Verdicts do not depend on the
-    order, only the shape of each clock's BDD does. *)
+    so that each constraint's variables sit together and Φ grows
+    linearly with replicated subsystems. The conjuncts' supports are
+    read from a first construction in discovery order, in a scratch
+    manager; a second construction then builds every clock and
+    conjunct directly in the final order, and Φ is their balanced
+    conjunction (DESIGN.md §12, "Clock-calculus variable order").
+    Verdicts do not depend on the order, only the shape of each
+    clock's BDD does. *)
 
 type t
 

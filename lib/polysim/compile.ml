@@ -117,6 +117,9 @@ type plan = {
   p_n_free : int;                  (* statically free classes *)
   p_live : int array;              (* registers fed by a delay equation *)
   p_non_inputs : int array;        (* signals no stimulus writes *)
+  p_input_clocks : (int * int) array;
+      (* (input, DAG root): an input class whose clock the calculus
+         derived, and that clock, checked against the stimulus *)
   p_header : Trace.header;         (* shared by every trace of the plan *)
 }
 
@@ -532,7 +535,7 @@ let compile_impl ?digest kp =
        the analysis query lock so concurrent sessions querying the same
        memoized calculus can't grow them under us. Nothing BDD leaves
        this section: the plan holds plain arrays. *)
-    let supports, bddvars, dag =
+    let supports, bddvars, dag, input_clocks =
       Calc.with_query_lock calc @@ fun () ->
       let supports = Array.map (Bdd.support mgr) clock_bdd in
       Array.iteri
@@ -562,6 +565,7 @@ let compile_impl ?digest kp =
             (stateful_outs lp))
         lprims;
       (* input classes *)
+      let derived_inputs = ref [] in
       for i = 0 to nsignals - 1 do
         if is_input.(i) then begin
           let c = class_of.(i) in
@@ -569,8 +573,10 @@ let compile_impl ?digest kp =
           | Pinput members -> pdefs.(c) <- Pinput (i :: members)
           | Pfree -> pdefs.(c) <- Pinput [ i ]
           | Pderived _ ->
-            (* an input whose presence is derived from other clocks: we
-               trust the derivation and check the stimulus against it *)
+            (* an input whose presence is derived from other clocks: the
+               stimulus decides it, and each instant checks the stimulus
+               against the derivation *)
+            derived_inputs := i :: !derived_inputs;
             pdefs.(c) <- Pinput [ i ]
           | Palias _ -> assert false           (* not assigned yet *)
           | Pprim _ ->
@@ -652,7 +658,13 @@ let compile_impl ?digest kp =
           | Pderived _ -> pdefs.(c) <- Pderived (lower clock_bdd.(c))
           | Pinput _ | Pprim _ | Palias _ | Pfree -> ())
         pdefs;
-      (supports, bddvars, Array.concat (List.rev !nodes))
+      let input_clocks =
+        Array.of_list
+          (List.rev_map
+             (fun i -> (i, lower clock_bdd.(class_of.(i))))
+             !derived_inputs)
+      in
+      (supports, bddvars, Array.concat (List.rev !nodes), input_clocks)
     in
     Metrics.set m_bdd_nodes (Bdd.node_count mgr);
     let calls, hits = Bdd.apply_stats mgr in
@@ -987,6 +999,7 @@ let compile_impl ?digest kp =
         p_n_free = n_free;
         p_live = signals_where (fun i -> prog.Prog.delay_src.(i) >= 0);
         p_non_inputs = signals_where (fun i -> not prog.Prog.is_input.(i));
+        p_input_clocks = input_clocks;
         p_header = Trace.header (Prog.decls prog) }
   with
   | Comp_error m -> Error m
@@ -1202,13 +1215,16 @@ let exec_instant st =
     (Array.unsafe_get ops k) st
   done;
   let class_of = st.class_of in
-  (* sanity: inputs marked present must be in present classes *)
-  let inputs = st.prog.Prog.inputs in
-  for k = 0 to Array.length inputs - 1 do
-    let i = inputs.(k) in
-    if st.stim_p.(b + i) && not st.pres.(st.base_cls + class_of.(i)) then
-      errf "instant %d: input %s present against its derived clock"
-        st.instants st.prog.Prog.names.(i)
+  (* an input class with a derived clock took its presence from the
+     stimulus; now that every operand of the clock is decided, the two
+     must agree *)
+  let checks = st.pl.p_input_clocks in
+  for k = 0 to Array.length checks - 1 do
+    let i, root = checks.(k) in
+    let p = st.pres.(st.base_cls + class_of.(i)) in
+    if p <> walk st st.pl.p_dag root then
+      errf "instant %d: input %s %s against its derived clock" st.instants
+        st.prog.Prog.names.(i) (if p then "present" else "absent")
   done;
   let cnt = check_present st b 0 0 in
   if st.recording then begin
@@ -1602,6 +1618,7 @@ type sym_view = {
   sv_class_of : int array;
   sv_pdefs : pdef array;
   sv_dag : dag;
+  sv_input_clocks : (int * int) array;
   sv_order : [ `Pres of int | `Val of int ] array;
 }
 
@@ -1611,6 +1628,7 @@ let sym_view st =
     sv_class_of = st.class_of;
     sv_pdefs = st.pl.p_pdefs;
     sv_dag = st.pl.p_dag;
+    sv_input_clocks = st.pl.p_input_clocks;
     sv_order =
       Array.map (function Opres c -> `Pres c | Oval i -> `Val i) st.pl.p_plan }
 

@@ -280,6 +280,10 @@ type sym_view = {
   sv_class_of : int array;         (** signal -> synchronization class *)
   sv_pdefs : pdef array;           (** per class *)
   sv_dag : dag;                    (** the roots of [Pderived] classes *)
+  sv_input_clocks : (int * int) array;
+      (** [(input, root)] for each [Pinput] class whose clock the
+          calculus derived: the step fails when the stimulus disagrees
+          with the DAG node at [root], evaluated after the schedule *)
   sv_order : [ `Pres of int | `Val of int ] array;
       (** the toposorted schedule: presence of class / value of signal *)
 }

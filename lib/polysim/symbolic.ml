@@ -860,6 +860,13 @@ let run_exn ~depth ~inputs ~prop c =
           parts.(i) <- es;
           add_err (b_and pc (b_not (sum es))))
       sv.Compile.sv_order;
+    (* an input class with a derived clock took its presence from the
+       stimulus; the step fails where the two disagree *)
+    Array.iter
+      (fun (i, root) ->
+        let v, e = conv_clock root in
+        add_err (b_or e (Bdd.xor_ mgr pres_b.(class_of.(i)) v)))
+      sv.Compile.sv_input_clocks;
     (* ---- transition relation: next-rail constraints over delay
        registers and queue shift-registers; error regions make no
        transition ---- *)

@@ -248,7 +248,10 @@ let get t ~stage ~key =
 
 let put t ~stage ~key v =
   let payload =
-    try Marshal.to_string v [ Marshal.No_sharing ]
+    (* with sharing: a payload is read back whole, never digested, so
+       each shared subterm is written once (a kernel's signal records,
+       say, instead of one copy per reference) *)
+    try Marshal.to_string v []
     with Invalid_argument _ ->
       invalid_arg
         (Printf.sprintf

@@ -20,7 +20,9 @@
       evicted.
 
     Payloads must be pure data (no closures, no custom blocks with
-    identity, nothing relying on physical sharing); [put] rejects
+    identity); they are marshalled with their sharing, so a subterm
+    referenced many times is stored once and read back shared. [put]
+    rejects
     functional values with [Invalid_argument]. Type safety across the
     untyped [Marshal] boundary is the caller's responsibility: a given
     [stage] tag must always store values of one type. The version

@@ -309,54 +309,56 @@ let test_id () =
   Alcotest.(check bool) "distinct nodes, distinct ids" true
     (Bdd.id a <> Bdd.id x)
 
-(* ---------------- rename: arbitrary variable maps ------------------ *)
+(* ------------- rename: order-preserving variable maps -------------- *)
 
 let perm_vars = 8
 
-(* a random BDD over at most 8 variables and a random permutation of
-   them (Fisher-Yates over a generated list of swap indices) *)
-let gen_permuted =
+(* a random BDD over at most 8 variables and a random strictly
+   increasing map of them (each variable at least one above the one
+   before it, by a generated gap), the shape of the symbolic engine's
+   next->current rail shift *)
+let gen_monotone =
   let open QCheck2.Gen in
-  let perm =
+  let map =
     map
-      (fun swaps ->
-        let p = Array.init perm_vars Fun.id in
+      (fun gaps ->
+        let p = Array.make perm_vars 0 in
         List.iteri
-          (fun i j ->
-            let i = perm_vars - 1 - i in
-            let j = j mod (i + 1) in
-            let t = p.(i) in
-            p.(i) <- p.(j);
-            p.(j) <- t)
-          swaps;
+          (fun v g -> p.(v) <- (if v = 0 then g else p.(v - 1) + 1 + g))
+          gaps;
         p)
-      (list_repeat (perm_vars - 1) (int_bound (perm_vars - 1)))
+      (list_repeat perm_vars (int_bound 3))
   in
-  triple (gen_bexp perm_vars) (gen_bexp perm_vars) perm
+  triple (gen_bexp perm_vars) (gen_bexp perm_vars) map
 
+(* [p]'s inverse on its image, the identity elsewhere *)
 let inverse p =
-  let q = Array.make (Array.length p) 0 in
+  let q = Array.init (p.(Array.length p - 1) + 1) Fun.id in
   Array.iteri (fun v pv -> q.(pv) <- v) p;
   q
 
-let print_permuted (_, _, p) =
+let print_monotone (_, _, p) =
   String.concat " " (Array.to_list (Array.map string_of_int p))
 
 let prop_rename_eval =
   QCheck2.Test.make ~name:"rename: eval agrees under every assignment"
-    ~count:200 ~print:print_permuted gen_permuted (fun (e, _, p) ->
+    ~count:200 ~print:print_monotone gen_monotone (fun (e, _, p) ->
       let m = mgr () in
       let a = to_bdd m e in
       let b = Bdd.rename m ~map:p a in
       List.for_all
         (fun mask ->
           let env v = (mask lsr v) land 1 = 1 in
-          Bdd.eval m (fun v -> env p.(v)) a = Bdd.eval m env b)
+          (* the same bits on the target variables; the others are
+             false and outside the support of [b] *)
+          let target = Array.make (p.(perm_vars - 1) + 1) false in
+          Array.iteri (fun v pv -> target.(pv) <- env v) p;
+          Bdd.eval m env a = Bdd.eval m (Array.get target) b)
         (List.init (1 lsl perm_vars) Fun.id))
 
 let prop_rename_inverse =
   QCheck2.Test.make ~name:"rename by p then by p^-1 is the same node"
-    ~count:200 ~print:print_permuted gen_permuted (fun (e, _, p) ->
+    ~count:200 ~print:print_monotone gen_monotone (fun (e, _, p) ->
       let m = mgr () in
       let a = to_bdd m e in
       let back = Bdd.rename m ~map:(inverse p) (Bdd.rename m ~map:p a) in
@@ -364,12 +366,25 @@ let prop_rename_inverse =
 
 let prop_rename_homomorphism =
   QCheck2.Test.make ~name:"rename commutes with and_ and not_" ~count:200
-    ~print:print_permuted gen_permuted (fun (e1, e2, p) ->
+    ~print:print_monotone gen_monotone (fun (e1, e2, p) ->
       let m = mgr () in
       let a = to_bdd m e1 and b = to_bdd m e2 in
       let pi = Bdd.rename m ~map:p in
       Bdd.equal (pi (Bdd.and_ m a b)) (Bdd.and_ m (pi a) (pi b))
       && Bdd.equal (pi (Bdd.not_ m a)) (Bdd.not_ m (pi a)))
+
+(* a map that swaps two variables of the support would need every node
+   rebuilt through [apply]; [rename] refuses it *)
+let test_rename_rejects_reordering () =
+  let m = mgr () in
+  let f = Bdd.and_ m (Bdd.var m 0) (Bdd.not_ m (Bdd.var m 1)) in
+  Alcotest.check_raises "swap of the support"
+    (Invalid_argument "Bdd.rename: the map reorders the support")
+    (fun () -> ignore (Bdd.rename m ~map:[| 1; 0 |] f));
+  (* reordering variables outside the support is no reordering of it *)
+  let g = Bdd.var m 2 in
+  Alcotest.(check bool) "outside the support" true
+    (Bdd.equal g (Bdd.rename m ~map:[| 1; 0 |] g))
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -391,6 +406,8 @@ let suite =
        Alcotest.test_case "and_exists relational product" `Quick
          test_and_exists;
        Alcotest.test_case "rename rails" `Quick test_rename;
+       Alcotest.test_case "rename rejects a reordering map" `Quick
+         test_rename_rejects_reordering;
        Alcotest.test_case "sat_count" `Quick test_sat_count;
        Alcotest.test_case "gc keeps roots" `Quick test_gc;
        Alcotest.test_case "node id" `Quick test_id ]

@@ -421,7 +421,8 @@ let hierarchy_oracles =
           (Trans.System_trans.External, "external") ])
     [ ("case_study", None);
       ("producer_consumer", Some "../examples/producer_consumer.aadl");
-      ("prodcons_replicas3", Some "../examples/prodcons_replicas3.aadl") ]
+      ("prodcons_replicas3", Some "../examples/prodcons_replicas3.aadl");
+      ("prodcons_4on4", Some "../examples/prodcons_4on4.aadl") ]
 
 (* the signature pre-filter leaves few pairs to [Bdd.implies]: a
    deterministic count, 11 450 of 385² pairs (7.7%) on this model when
@@ -440,6 +441,98 @@ let test_hierarchy_implies_gate () =
     (Printf.sprintf "%d implies <= 12%% of %d classes squared" implies n)
     true
     (implies * 100 <= 12 * n * n)
+
+(* ------------- construction in the final variable order ------------ *)
+
+(* The shape of a fresh whole-kernel analysis: Φ's node count, the
+   total and the largest clock size, and a digest of the variable
+   meanings in variable order. Each is a function of the order alone,
+   so a change that builds the clocks differently but in the same
+   order keeps them, and one that numbers the variables otherwise
+   (discovery order, say) moves the sizes. *)
+let shape a suffix =
+  let c = C.analyze (renamed a.P.kernel suffix) in
+  let m = C.manager c in
+  let sizes =
+    Array.init (C.class_count c) (fun k ->
+        Bdd.size m (C.clock_of_class_id c k))
+  in
+  let rec kinds v acc =
+    match C.var_kind c v with
+    | None -> List.rev acc
+    | Some (`Present k) -> kinds (v + 1) (Printf.sprintf "^%d" k :: acc)
+    | Some (`Cond b) -> kinds (v + 1) (Printf.sprintf "[%s]" b :: acc)
+    | Some (`CondEq (x, k)) ->
+      kinds (v + 1) (Printf.sprintf "[%s=%d]" x k :: acc)
+  in
+  ( Bdd.size m (C.context c),
+    Array.fold_left ( + ) 0 sizes,
+    Array.fold_left max 0 sizes,
+    Digest.to_hex (Digest.string (String.concat " " (kinds 0 []))) )
+
+(* pinned when the calculus first built every clock in its final order,
+   at the values of the renaming post-pass it replaced *)
+let order_pins =
+  [ ("case_study", None, Trans.System_trans.Embedded,
+     (163, 716, 63, "9a3cf181c5c4df1e49027abe12318e1b"));
+    ("case_study", None, Trans.System_trans.External,
+     (25, 226, 30, "48232fcae575866f884c03faf687e6e1"));
+    ("producer_consumer", Some "../examples/producer_consumer.aadl",
+     Trans.System_trans.Embedded, (163, 716, 63, "9a3cf181c5c4df1e49027abe12318e1b"));
+    ("producer_consumer", Some "../examples/producer_consumer.aadl",
+     Trans.System_trans.External, (25, 226, 30, "48232fcae575866f884c03faf687e6e1"));
+    ("prodcons_replicas3", Some "../examples/prodcons_replicas3.aadl",
+     Trans.System_trans.Embedded, (533, 2733, 153, "7e7b925915cc9cb60147c5594a163ff3"));
+    ("prodcons_replicas3", Some "../examples/prodcons_replicas3.aadl",
+     Trans.System_trans.External, (75, 16880, 8190, "aeddaeb3c4373859ac8498aa9cfc4aa1")) ]
+
+let test_order_pin (_, file, mode, expected) () =
+  let src =
+    match file with
+    | Some f -> Test_data.read f
+    | None -> Polychrony.Case_study.aadl_source
+  in
+  let phi, total, largest, kinds = shape (analyzed ~mode src) "_order" in
+  Alcotest.(check (pair (pair int int) (pair int string)))
+    "phi nodes, total and largest clock, variable kinds" 
+    (let p, t, l, k = expected in ((p, t), (l, k)))
+    ((phi, total), (largest, kinds))
+
+let order_pin_tests =
+  List.map
+    (fun ((name, _, mode, _) as pin) ->
+      Alcotest.test_case
+        (Printf.sprintf "order pin, %s: %s"
+           (match mode with
+            | Trans.System_trans.Embedded -> "embedded"
+            | Trans.System_trans.External -> "external")
+           name)
+        `Quick (test_order_pin pin))
+    order_pins
+
+(* Major words one cold analysis allocates, after a full collection so
+   that nothing pending from earlier tests is billed to it. A renamed
+   kernel misses the memo; its digest is taken outside the count. *)
+let major_words kp suffix =
+  let kp = renamed kp suffix in
+  let digest = K.digest kp in
+  Gc.full_major ();
+  let _, _, before = Gc.counters () in
+  ignore (Sys.opaque_identity (C.analyze ~digest kp));
+  let _, _, after = Gc.counters () in
+  int_of_float (after -. before)
+
+let test_alloc_gate () =
+  let a = analyzed ~mode:Trans.System_trans.Embedded
+      Polychrony.Case_study.aadl_source in
+  let kernel = major_words a.P.kernel "_alloc" in
+  let glue = major_words a.P.glue_kernel "_alloc" in
+  Alcotest.(check bool)
+    (Printf.sprintf "whole kernel: %d major words <= 60000" kernel)
+    true (kernel <= 60_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "glue: %d major words <= 25000" glue)
+    true (glue <= 25_000)
 
 let suite =
   [ ("calculus",
@@ -467,7 +560,9 @@ let suite =
          (test_replicas_scaling Trans.System_trans.Embedded);
        Alcotest.test_case "External: 3 replicas scale linearly" `Quick
          (test_replicas_scaling Trans.System_trans.External) ]
-     @ report_goldens
-     @ Alcotest.test_case "hierarchy implies gate: 3 replicas" `Quick
+     @ report_goldens @ order_pin_tests
+     @ Alcotest.test_case "one cold analysis: major words" `Quick
+         test_alloc_gate
+       :: Alcotest.test_case "hierarchy implies gate: 3 replicas" `Quick
          test_hierarchy_implies_gate
        :: hierarchy_oracles) ]

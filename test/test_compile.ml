@@ -455,6 +455,41 @@ let dag_oracles =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_equivalence ]
 
+(* [i] is synchronous with [y], sampled off [a] when [c]: the calculus
+   derives [i]'s clock, and a stimulus of [i] that disagrees with it
+   (present when [c] is false, absent when it is true) is rejected by
+   the compiled step at the instant the interpreter rejects it *)
+let test_input_against_derived_clock () =
+  let p =
+    B.proc ~name:"derived_input" ~locals:[ Ast.var "y" Types.Tint ]
+      ~inputs:[ Ast.var "a" Types.Tint; Ast.var "c" Types.Tbool;
+                Ast.var "i" Types.Tint ]
+      ~outputs:[ Ast.var "z" Types.Tint ]
+      B.[ "y" := when_ (v "a") (v "c"); "z" := v "i" + v "y" ]
+  in
+  let kp = N.process_exn p in
+  let failing_instant = function
+    | Ok _ -> None
+    | Error m -> Scanf.sscanf_opt m "instant %d:" Fun.id
+  in
+  List.iter
+    (fun (name, stimuli, expected) ->
+      Alcotest.(check (option int)) (name ^ ": interpreter") expected
+        (failing_instant (Engine.run kp ~stimuli));
+      Alcotest.(check (option int)) (name ^ ": compiled") expected
+        (failing_instant (compiled_run kp ~stimuli)))
+    [ ("agreeing",
+       [ [ ("a", vi 1); ("c", vb true); ("i", vi 5) ];
+         [ ("a", vi 2); ("c", vb false) ]; [] ],
+       None);
+      ("present against the clock",
+       [ [ ("a", vi 1); ("c", vb true); ("i", vi 5) ];
+         [ ("a", vi 1); ("c", vb false); ("i", vi 5) ] ],
+       Some 1);
+      ("absent against the clock",
+       [ [ ("a", vi 1); ("c", vb true) ] ],
+       Some 0) ]
+
 let suite =
   [ ("compile",
      [ Alcotest.test_case "fm equivalence" `Quick test_fm_equiv;
@@ -463,6 +498,8 @@ let suite =
        Alcotest.test_case "in port equivalence" `Quick test_in_port_equiv;
        Alcotest.test_case "out port equivalence" `Quick test_out_port_equiv;
        Alcotest.test_case "cycle rejected" `Quick test_cycle_rejected;
+       Alcotest.test_case "input against its derived clock" `Quick
+         test_input_against_derived_clock;
        Alcotest.test_case "case study equivalence" `Quick
          test_case_study_equiv;
        Alcotest.test_case "case study plan" `Quick
@@ -470,3 +507,4 @@ let suite =
        Alcotest.test_case "memoized instances independent" `Quick
          test_memoized_instances_independent ]
      @ dag_oracles @ qsuite) ]
+

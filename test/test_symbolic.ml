@@ -201,6 +201,39 @@ let test_runtime_error_parity () =
   Alcotest.(check string) "symbolic replays to the same code"
     "EXPLORE-SIM-001" (code sym)
 
+(* an input synchronous with a sampled signal: its stimulus is checked
+   against the clock the calculus derived, by both engines; a stimulus
+   space that only agrees with the clock holds *)
+let test_derived_input_parity () =
+  let kp =
+    N.process_exn
+      (B.proc ~name:"derived_input" ~locals:[ Ast.var "y" Types.Tint ]
+         ~inputs:[ Ast.var "a" Types.Tint; Ast.var "c" Types.Tbool;
+                   Ast.var "i" Types.Tint ]
+         ~outputs:[ Ast.var "z" Types.Tint ]
+         B.[ "y" := when_ (v "a") (v "c"); "z" := v "i" + v "y" ])
+  in
+  let prop = S.Never_value ("z", vi 99) in
+  List.iter
+    (fun (label, inputs) ->
+      Option.iter Alcotest.fail (compare_engines label kp inputs prop 2))
+    [ ("disagreeing stimuli",
+       [ ("a", [ Some (vi 1) ]); ("c", [ Some (vb true); Some (vb false) ]);
+         ("i", [ None; Some (vi 5) ]) ]);
+      ("agreeing stimuli",
+       [ ("a", [ Some (vi 1) ]); ("c", [ Some (vb true) ]);
+         ("i", [ Some (vi 5) ]) ]) ];
+  let code = function
+    | Error d -> d.Putil.Diag.code
+    | Ok _ -> "no error"
+  in
+  Alcotest.(check string) "disagreement is a step error" "EXPLORE-SIM-001"
+    (code
+       (E.check_symbolic ~depth:2 ~prop kp
+          ~inputs:
+            [ ("a", [ Some (vi 1) ]); ("c", [ Some (vb false) ]);
+              ("i", [ Some (vi 5) ]) ]))
+
 let expect_unsupported ?message label r =
   match r with
   | Error d ->
@@ -344,6 +377,8 @@ let suite =
          test_counters_violation_replays;
        Alcotest.test_case "runtime error parity" `Quick
          test_runtime_error_parity;
+       Alcotest.test_case "input against its derived clock: parity" `Quick
+         test_derived_input_parity;
        Alcotest.test_case "unsupported fragment" `Quick
          test_unsupported_fragment;
        Alcotest.test_case "cap boundary: binop product" `Quick
