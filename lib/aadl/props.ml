@@ -22,8 +22,29 @@ let base_name name =
     String.sub name (i + 1) (String.length name - i - 1)
   | Some _ | None -> name
 
+(* Offset of [base_name s] in [s]: after the last ':' before [i],
+   unless that ':' ends the name. *)
+let rec base_start s i =
+  if i < 0 then 0
+  else if Char.equal (String.unsafe_get s i) ':' then
+    if i + 1 < String.length s then i + 1 else 0
+  else base_start s (i - 1)
+
+let rec same_from a i b j n =
+  n = 0
+  || Char.equal
+       (Char.lowercase_ascii (String.unsafe_get a i))
+       (Char.lowercase_ascii (String.unsafe_get b j))
+     && same_from a (i + 1) b (j + 1) (n - 1)
+
+(* [base_name a] and [base_name b] equal up to ASCII case, compared in
+   place: property lookups run it per association, so it allocates
+   nothing (no substring, no lowered copy, no closure) *)
 let name_eq a b =
-  String.lowercase_ascii (base_name a) = String.lowercase_ascii (base_name b)
+  let i = base_start a (String.length a - 1)
+  and j = base_start b (String.length b - 1) in
+  let n = String.length a - i in
+  n = String.length b - j && same_from a i b j n
 
 let find name assocs =
   List.fold_left

@@ -28,6 +28,10 @@ val base_name : string -> string
 (** Strip a property-set qualifier: ["Timing_Properties::Period"] →
     ["Period"]. Matching is case-insensitive downstream. *)
 
+val name_eq : string -> string -> bool
+(** Property-name match: the {!base_name}s are equal up to ASCII case.
+    Compares in place and allocates nothing. *)
+
 val find :
   string -> Syntax.property_assoc list -> Syntax.property_value option
 (** Last association for the (unqualified, case-insensitive) name wins,

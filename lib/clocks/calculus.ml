@@ -601,7 +601,7 @@ let analyze ?digest kp =
   Metrics.incr m_analyses;
   let st =
     Putil.Tracing.with_span "clocks.calculus"
-      ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
+      ~args:[ ("signals", Putil.Tracing.Aint (K.signal_count kp)) ]
     @@ fun () ->
     let st = Metrics.time m_analyze_ns (fun () -> analyze_impl kp) in
     if Putil.Tracing.enabled () then

@@ -61,10 +61,11 @@ type analyzed = {
 (* Each stage of [analyze] is a total function of its input, so a
    session caches every stage output under a content digest of that
    input. Re-analyzing edited source reruns only the prefix whose
-   digests changed: the parse and instance stages key on the source
-   text, but the expensive back half — typecheck, normalization, clock
-   calculus and the boolean analyses — keys on the digest of the
-   {e generated program} (resp. kernel). With the scheduler-exogenous
+   digests changed: the parse, instance and translate stages key on
+   the source text, but the expensive back half — typecheck,
+   normalization, clock calculus and the boolean analyses — keys on
+   the digests of the {e generated program}'s processes (resp. the
+   kernel). With the scheduler-exogenous
    translation mode ({!Trans.System_trans.External}) a timing-only
    edit leaves the generated program byte-identical, so editing one
    thread's period reruns parse/instantiate/translate and skips
@@ -103,7 +104,8 @@ type analyses = {
 }
 
 type memos = {
-  parse : Aadl.Syntax.package list Memo.t;
+  parse : (Aadl.Syntax.package * Aadl.Check.issue list) list Memo.t;
+      (* each package with its legality issues *)
   instance : Aadl.Instance.t Memo.t;
   translate : (Trans.System_trans.output * Putil.Diag.t list) Memo.t;
   typecheck :
@@ -124,7 +126,9 @@ type memos = {
    directories keep hitting only while they stay byte-identical.
    Instantiate and translate have no tag: their values carry interned
    UIDs, dense ids into this process's interner that would resolve
-   against an unrelated interner when replayed by a fresh process. *)
+   against an unrelated interner when replayed by a fresh process. The
+   parse tag names its value type: [stage.parse] entries held the bare
+   packages and must never be read as packages paired with issues. *)
 let memos store =
   let tagged tag = Option.map (fun s -> (s, tag)) store in
   (* name-keyed, so at most one entry per stage or process *)
@@ -132,7 +136,7 @@ let memos store =
   let whole name units =
     memo name (Memo.Stage units) (tagged ("stage." ^ name))
   in
-  { parse = whole "parse" None;
+  { parse = memo "parse" (Memo.Stage None) (tagged "stage.parse.checked");
     instance = memo "instantiate" (Memo.Stage None) None;
     translate = memo "translate" (Memo.Stage None) None;
     typecheck =
@@ -363,12 +367,13 @@ let dep_closure program p =
   let deps = List.sort_uniq compare (names_of [] p) in
   List.filter_map (fun n -> Hashtbl.find_opt by_name n) deps
 
-let model_key program m =
-  let deps = dep_closure program m in
+(* [proc_digest] answers with the translation's per-process
+   digests, so no process is marshalled again here *)
+let model_key program proc_digest m =
   Digest.to_hex
     (Digest.string
        (String.concat ""
-          (Ast.process_digest m :: List.map Ast.process_digest deps)))
+          (List.map proc_digest (m :: dep_closure program m))))
 
 (* Analyze one model kernel standalone (inputs free) and summarize its
    interface for the glue analysis. Everything asserted about the
@@ -583,23 +588,62 @@ let merge_analyses ~stubbed (links : Signal_lang.Normalize.link list) pas ga =
    infeasible thread set — are all reported in a single run. The
    result is [Error] only when a stage failure prevents building the
    full record; the accumulated diagnostics (including warnings and
-   notes from the analyses) otherwise ride in [analyzed.diags]. *)
-let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
-    ?(context = []) ?file ~root pkg =
+   notes from the analyses) otherwise ride in [analyzed.diags].
+
+   Each stage key is derived from keys already known: the front end's
+   from the source key, the back end's from the per-process digests
+   the translation took once. No key marshals the AADL AST, the
+   instance or the generated program. *)
+let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
+    ?file src =
   in_session_scope session @@ fun () ->
+  let m = memos_of session in
+  let src_key =
+    Digest.to_hex
+      (Digest.string (Option.value ~default:"" file ^ "\x00" ^ src))
+  in
+  (* legality is a function of the packages, so it rides in the parse
+     value and a parse hit replays it *)
+  let* checked =
+    Memo.find m.parse ~name:"parse" ~key:src_key (fun () ->
+        Result.map
+          (List.map (fun pkg -> (pkg, Aadl.Check.check_package pkg)))
+          (Aadl.Parser.parse_packages_diag ?file src))
+  in
+  let pkgs = List.map fst checked in
+  let* pkg, root =
+    match root with
+    | Some r -> (
+      (* find the package defining the root *)
+      let tname = Aadl.Syntax.impl_base_name r in
+      match
+        List.find_opt
+          (fun p -> Aadl.Syntax.find_type p tname <> None)
+          pkgs
+      with
+      | Some p -> Ok (p, r)
+      | None -> (
+        match pkgs with
+        | p :: _ -> Ok (p, r)
+        | [] ->
+          Error [ Putil.Diag.errorf ~code:code_root "no package" ]))
+    | None ->
+      Result.map_error
+        (fun m -> [ Putil.Diag.errorf ~code:code_root "%s" m ])
+        (default_root pkgs)
+  in
   Putil.Tracing.with_span "pipeline.analyze"
     ~args:[ ("root", Putil.Tracing.Astr root) ]
   @@ fun () ->
   let diags = Putil.Diag.collector () in
   let fail () = Error (Putil.Diag.result diags) in
-  let m = memos_of session in
-  let aadl_issues =
-    List.concat_map Aadl.Check.check_package (pkg :: context)
-  in
+  (* the root's package first, then the others in source order *)
+  let own, others = List.partition (fun (p, _) -> p == pkg) checked in
+  let aadl_issues = List.concat_map snd (own @ others) in
+  let context = List.map fst others in
   Putil.Diag.add_list diags (Aadl.Check.to_diags ?file aadl_issues);
   match
-    Memo.find m.instance ~name:"instantiate"
-      ~key:(digest_of (file, root, pkg, context))
+    Memo.find m.instance ~name:"instantiate" ~key:(src_key ^ ":" ^ root)
       (fun () -> Aadl.Instance.instantiate_diag ?file ~context pkg ~root)
   with
   | Error ds ->
@@ -609,8 +653,7 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
     match
       Memo.find m.translate ~name:"translate"
         ~key:
-          (digest_of (instance, policy, mode, file)
-          ^ ":" ^ Trans.Behavior.id registry)
+          (digest_of (src_key, root, policy, mode, Trans.Behavior.id registry))
         (fun () ->
           match
             Trans.System_trans.translate_diag ?file ~registry ?policy
@@ -625,7 +668,8 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
     | Ok (translation, tdiags) -> (
       Putil.Diag.add_list diags tdiags;
       let program = translation.Trans.System_trans.program in
-      let program_key = Signal_lang.Ast.program_digest program in
+      let digests = translation.Trans.System_trans.process_digests in
+      let program_key = digest_of (program.Ast.prog_name, digests) in
       let top = translation.Trans.System_trans.top in
       let typecheck_errors, typed_program =
         Memo.get m.typecheck ~name:"typecheck" ~key:program_key
@@ -636,15 +680,14 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
               digest_of (List.map iface_of program.Ast.processes)
             in
             let per_proc =
-              List.map
-                (fun p ->
+              List.map2
+                (fun p digest ->
                   Memo.get m.tc_procs ~name:p.Ast.proc_name
-                    ~key:
-                      (Digest.to_hex (Ast.process_digest p) ^ ":" ^ iface_key)
+                    ~key:(Digest.to_hex digest ^ ":" ^ iface_key)
                     (fun () ->
                       ( Signal_lang.Typecheck.check_process ~program p,
                         Signal_lang.Typecheck.type_process p )))
-                program.Ast.processes
+                program.Ast.processes digests
             in
             ( List.concat_map fst per_proc,
               { Ast.prog_name = program.Ast.prog_name;
@@ -667,13 +710,17 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                   && p.Ast.params = [])
                 program.Ast.processes
             in
+            let proc_digest =
+              let by_proc = List.combine program.Ast.processes digests in
+              fun p -> List.assq p by_proc
+            in
             let precomputed =
               List.filter_map
                 (fun model ->
                   Option.map
                     (fun k -> (model.Ast.proc_name, k))
                     (Memo.get m.kernels ~name:model.Ast.proc_name
-                       ~key:(model_key program model)
+                       ~key:(model_key program proc_digest model)
                        (fun () ->
                          Result.to_option
                            (Signal_lang.Normalize.process ~program model))))
@@ -758,40 +805,6 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
             determinism = an.a_determinism; deadlock = an.a_deadlock;
             typecheck_errors; diags = Putil.Diag.result diags;
             scope = Option.map (fun s -> s.s_label) session }))
-
-let analyze ?session ?registry ?policy ?mode ?root ?file src =
-  in_session_scope session @@ fun () ->
-  let* pkgs =
-    Memo.find (memos_of session).parse ~name:"parse"
-      ~key:
-        (Digest.to_hex
-           (Digest.string (Option.value ~default:"" file ^ "\x00" ^ src)))
-      (fun () -> Aadl.Parser.parse_packages_diag ?file src)
-  in
-  let* pkg, root =
-    match root with
-    | Some r -> (
-      (* find the package defining the root *)
-      let tname = Aadl.Syntax.impl_base_name r in
-      match
-        List.find_opt
-          (fun p -> Aadl.Syntax.find_type p tname <> None)
-          pkgs
-      with
-      | Some p -> Ok (p, r)
-      | None -> (
-        match pkgs with
-        | p :: _ -> Ok (p, r)
-        | [] ->
-          Error [ Putil.Diag.errorf ~code:code_root "no package" ]))
-    | None ->
-      Result.map_error
-        (fun m -> [ Putil.Diag.errorf ~code:code_root "%s" m ])
-        (default_root pkgs)
-  in
-  let context = List.filter (fun p -> p != pkg) pkgs in
-  analyze_package ?session ?registry ?policy ?mode ~context ?file ~root
-    pkg
 
 (* Schedulers on different processors may use different base ticks;
    simulation advances on their gcd and pulses each processor's tick at

@@ -157,17 +157,6 @@ val analyze :
     included) rides in [analyzed.diags]. [file] names the AADL source
     in diagnostic spans. *)
 
-val analyze_package :
-  ?session:session ->
-  ?registry:Trans.Behavior.registry ->
-  ?policy:Sched.Static_sched.policy ->
-  ?mode:Trans.System_trans.mode ->
-  ?context:Aadl.Syntax.package list ->
-  ?file:string ->
-  root:string ->
-  Aadl.Syntax.package ->
-  (analyzed, Putil.Diag.t list) result
-
 (** {1 Simulation} *)
 
 val simulate :

@@ -1075,7 +1075,7 @@ let build_plan ?digest kp =
   Metrics.incr m_plan_builds;
   let r =
     Putil.Tracing.with_span "compile.plan"
-      ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
+      ~args:[ ("signals", Putil.Tracing.Aint (K.signal_count kp)) ]
     @@ fun () ->
     Metrics.time m_compile_ns (fun () -> compile_impl ?digest kp)
   in

@@ -45,6 +45,9 @@ let atom_type env = function
 
 let signals kp = kp.kinputs @ kp.koutputs @ kp.klocals
 
+let signal_count kp =
+  List.length kp.kinputs + List.length kp.koutputs + List.length kp.klocals
+
 let m_digests = Putil.Metrics.counter "kernel.digests"
 
 (* kprocess is pure data (strings, values, lists), so a structural

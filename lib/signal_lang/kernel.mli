@@ -57,6 +57,10 @@ val atom_type :
 val signals : kprocess -> Ast.nvardecl list
 (** All signals of the process: inputs, outputs, locals. *)
 
+val signal_count : kprocess -> int
+(** [List.length (signals kp)] (and [st_count (sigtab kp)]), counted
+    without building either. *)
+
 val digest : kprocess -> string
 (** Structural digest (16 raw bytes): structurally equal processes
     yield equal digests. Keys the clock-analysis and compilation memo

@@ -476,9 +476,10 @@ let process_gen ?program ?(params = []) ~lm p =
     norm_body st ~program ~stack:[ p.proc_name ] ~lm p scope;
     (* Generated temporaries were prepended; declared locals were seeded
        first, so a single reverse restores declaration order. *)
-    let declared = List.map (fun vd -> vd.var_name) p.locals in
+    let declared = Hashtbl.create (List.length p.locals) in
+    List.iter (fun vd -> Hashtbl.replace declared vd.var_name ()) p.locals;
     let gen_locals =
-      List.filter (fun vd -> not (List.mem vd.var_name declared)) st.locals
+      List.filter (fun vd -> not (Hashtbl.mem declared vd.var_name)) st.locals
     in
     Ok
       { kname = p.proc_name;

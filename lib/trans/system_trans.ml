@@ -23,6 +23,7 @@ type output = {
   env_inputs : string list;
   env_outputs : string list;
   ctl_inputs : (string * ctl_spec) list;
+  process_digests : string list;
 }
 
 (* Stable translation error codes (TRANS-001/002 live in
@@ -367,15 +368,16 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
       (List.rev ok, List.rev failed)
     in
     (* ---- thread process models ---- *)
-    let thread_models =
-      List.map
-        (fun th ->
-          let model = Thread_trans.translate ~registry th in
-          Traceability.add_component trace
-            ~aadl:(Putil.Uid.Thread.intern th.Inst.i_path)
-            ~signal:(Putil.Uid.Signal.intern model.Ast.proc_name);
-          (th, model))
-        threads
+    let thread_models, thread_digests =
+      List.split
+        (List.map
+           (fun th ->
+             let model, digest = Thread_trans.translate ~registry th in
+             Traceability.add_component trace
+               ~aadl:(Putil.Uid.Thread.intern th.Inst.i_path)
+               ~signal:(Putil.Uid.Signal.intern model.Ast.proc_name);
+             ((th, model), digest))
+           threads)
     in
     (* ---- scheduler models ---- *)
     let sched_name cpu = "sched_" ^ sanitize (local_name root_path cpu) in
@@ -804,6 +806,10 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
     in
     record_output_metrics program;
     { program; top;
+      process_digests =
+        thread_digests
+        @ List.map (fun (_, m) -> Ast.process_digest m) sched_models
+        @ [ Ast.process_digest top ];
       schedules;
       tasks = tasks_of_cpu;
       trace;

@@ -56,6 +56,10 @@ type output = {
   ctl_inputs : (string * ctl_spec) list;
       (** External mode only: ctl events to drive, in declaration
           order; empty in Embedded mode *)
+  process_digests : string list;
+      (** {!Signal_lang.Ast.process_digest} of each process of
+          [program], in order: thread models' digests come from their
+          memoized translation, the others are taken once here *)
 }
 
 val translate :

@@ -380,8 +380,10 @@ let translate_uncached ~registry inst =
    that thread's translation. Only successes are cached ([Trans_diag]
    defects are cheap to rediscover and must not be masked). The memo
    holds its lock across the translation, so concurrent domains
-   translate each thread once. *)
-let memo : Ast.process Putil.Memo.t =
+   translate each thread once. The process's digest is taken here,
+   once per translation, and replayed with it: the pipeline keys its
+   back end on it. *)
+let memo : (Ast.process * string) Putil.Memo.t =
   Putil.Memo.create ~stage:"translate" Putil.Memo.Unit ~cap:512 ~store:None
 
 let translate ~registry inst =
@@ -394,4 +396,5 @@ let translate ~registry inst =
       ^ Marshal.to_string inst [ Marshal.No_sharing ])
   in
   Putil.Memo.get memo ~name:key ~key (fun () ->
-      translate_uncached ~registry inst)
+      let p = translate_uncached ~registry inst in
+      (p, Ast.process_digest p))

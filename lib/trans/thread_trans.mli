@@ -26,8 +26,10 @@ val port_queue_size : Aadl.Syntax.feature -> int
 val translate :
   registry:Behavior.registry ->
   Aadl.Instance.instance ->
-  Signal_lang.Ast.process
-(** @raise Invalid_argument if the instance is not a thread.
+  Signal_lang.Ast.process * string
+(** The thread's process and its {!Signal_lang.Ast.process_digest},
+    taken once when the thread is translated and memoized with it.
+    @raise Invalid_argument if the instance is not a thread.
     @raise Trans_diag on a model-level defect (see above). *)
 
 val process_name : Aadl.Instance.instance -> string

@@ -257,6 +257,35 @@ let test_processor_bindings () =
     [ ("h1", "cpu"); ("h2", "cpu") ]
     (Props.processor_bindings assocs)
 
+(* [name_eq] compares in place; it must agree with the definition it
+   replaced, which lowered copies of both base names *)
+let test_name_eq () =
+  let reference a b =
+    String.lowercase_ascii (Props.base_name a)
+    = String.lowercase_ascii (Props.base_name b)
+  in
+  let names =
+    [ ""; ":"; "::"; "a"; "A"; "ab"; "Period"; "PERIOD"; "period";
+      "Periods"; "Perio"; "Timing_Properties::Period";
+      "timing_properties::PERIOD"; "Other::period"; "Period:";
+      "Timing_Properties::"; "Timing_Properties::Period:"; "x::";
+      "Deadline"; "Timing_Properties::Deadline"; "a:b:c"; "c"; "B:C";
+      "Period\xc3\xa9"; "period\xc3\xa9" ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "name_eq %S %S" a b)
+            (reference a b) (Props.name_eq a b))
+        names)
+    names;
+  Alcotest.(check bool) "qualified matches bare" true
+    (Props.name_eq "Timing_Properties::period" "PERIOD");
+  Alcotest.(check bool) "trailing colon keeps the whole name" false
+    (Props.name_eq "Period:" "Period")
+
 (* ----------------------------- instance --------------------------- *)
 
 let case_instance () = Polychrony.Case_study.instance ()
@@ -422,7 +451,9 @@ let suite =
        Alcotest.test_case "applies-to skipped" `Quick
          test_props_applies_to_skipped;
        Alcotest.test_case "dispatch protocol" `Quick test_dispatch_protocol;
-       Alcotest.test_case "processor bindings" `Quick test_processor_bindings ]);
+       Alcotest.test_case "processor bindings" `Quick test_processor_bindings;
+       Alcotest.test_case "name_eq matches lowered base names" `Quick
+         test_name_eq ]);
     ("aadl.instance",
      [ Alcotest.test_case "tree" `Quick test_instance_tree;
        Alcotest.test_case "bindings" `Quick test_instance_bindings;

@@ -206,23 +206,30 @@ let test_session_skips_unchanged () =
       Alcotest.(check int) (st ^ " skipped once") 1 skipped)
     (delta before (snapshot ()))
 
-let test_session_period_edit_skips_backend () =
-  let session = P.new_session () in
-  let _ = analyze_ok ~session CS.aadl_source in
-  let before = snapshot () in
-  let _ = analyze_ok ~session (edited_source ()) in
+(* External mode: a period edit leaves the generated program's digest
+   unchanged, so the whole back end replays from cache. The front-end
+   keys derive from the source key, so an edit that leaves the AADL AST
+   as it was (a comment after the last package) reruns instantiate and
+   translate all the same; the cutoff is the program. *)
+let test_session_edit_skips_backend () =
   List.iter
-    (fun (st, ran, skipped) ->
-      match st with
-      | "parse" | "instantiate" | "translate" ->
-        Alcotest.(check int) (st ^ " reran") 1 ran;
-        Alcotest.(check int) (st ^ " not skipped") 0 skipped
-      | _ ->
-        (* External mode: a period edit leaves the generated program's
-           digest unchanged, so the whole back end replays from cache *)
-        Alcotest.(check int) (st ^ " not rerun") 0 ran;
-        Alcotest.(check int) (st ^ " skipped") 1 skipped)
-    (delta before (snapshot ()))
+    (fun (edit, edited) ->
+      let session = P.new_session () in
+      let _ = analyze_ok ~session CS.aadl_source in
+      let before = snapshot () in
+      let _ = analyze_ok ~session edited in
+      List.iter
+        (fun (st, ran, skipped) ->
+          match st with
+          | "parse" | "instantiate" | "translate" ->
+            Alcotest.(check int) (edit ^ ": " ^ st ^ " reran") 1 ran;
+            Alcotest.(check int) (edit ^ ": " ^ st ^ " not skipped") 0 skipped
+          | _ ->
+            Alcotest.(check int) (edit ^ ": " ^ st ^ " not rerun") 0 ran;
+            Alcotest.(check int) (edit ^ ": " ^ st ^ " skipped") 1 skipped)
+        (delta before (snapshot ())))
+    [ ("period edit", edited_source ());
+      ("comment edit", CS.aadl_source ^ "\n-- reviewed\n") ]
 
 let test_session_period_edit_changes_schedule () =
   let session = P.new_session () in
@@ -413,6 +420,113 @@ let test_compiled_plan_reuse_after_timing_edit () =
   Alcotest.(check bool) "trace matches cold rebuild" true
     (Polysim.Trace.equal tr_cold tr_warm)
 
+(* ------------------------------------------------------------------ *)
+(* Stage keys derived from known keys                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The translation digests each process once; its digests are exactly
+   [Ast.process_digest] over the program, in program order, which is
+   what lets the back-end keys be built from them. *)
+let test_translation_digests () =
+  let check label src mode =
+    let a =
+      match P.analyze ~registry:CS.registry_nominal ~mode src with
+      | Ok a -> a
+      | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+    in
+    let tr = a.P.translation in
+    Alcotest.(check (list string)) (label ^ ": per-process digests")
+      (List.map
+         (fun p -> Digest.to_hex (Ast.process_digest p))
+         tr.ST.program.Ast.processes)
+      (List.map Digest.to_hex tr.ST.process_digests)
+  in
+  List.iter
+    (fun (mode, m) ->
+      check ("case study " ^ m) CS.aadl_source mode;
+      check ("3 replicas " ^ m)
+        (Test_data.read "../examples/prodcons_replicas3.aadl")
+        mode)
+    [ (ST.Embedded, "embedded"); (ST.External, "external") ]
+
+let diags_text ds =
+  String.concat "\n" (List.map Putil.Diag.to_string ds)
+
+(* A parse hit replays the legality issues with the packages: a new
+   session on a warm store reports the same issues and diagnostics as
+   the cold run without running the check again. *)
+let test_legality_replayed_with_parse () =
+  let src = Test_data.read "corpus/multi_defect.aadl" in
+  let file = "multi_defect.aadl" in
+  let run store =
+    let session = P.new_session ~store () in
+    match P.analyze ~session ~registry:Trans.Behavior.empty ~file src with
+    | Ok a -> (Some a.P.aadl_issues, diags_text a.P.diags)
+    | Error ds -> (None, diags_text ds)
+  in
+  let checked () =
+    List.exists
+      (fun (_, evs) ->
+        List.exists
+          (function
+            | Putil.Tracing.Begin { name = "aadl.check"; _ } -> true
+            | _ -> false)
+          evs)
+      (Putil.Tracing.events ())
+  in
+  with_temp_store (fun store dir ->
+      let issues0, diags0 = run store in
+      Alcotest.(check bool) "the model has legality issues" true
+        (match issues0 with Some (_ :: _) -> true | _ -> false);
+      let store2 =
+        match Putil.Cache_store.open_store dir with
+        | Ok t -> t
+        | Error m -> Alcotest.fail ("reopen: " ^ m)
+      in
+      let skipped0 = counter "incr.parse.skipped" in
+      Putil.Tracing.reset ();
+      Putil.Tracing.set_enabled true;
+      let issues1, diags1 =
+        Fun.protect
+          ~finally:(fun () -> Putil.Tracing.set_enabled false)
+          (fun () -> run store2)
+      in
+      Alcotest.(check int) "parse replayed from the store" 1
+        (counter "incr.parse.skipped" - skipped0);
+      Alcotest.(check bool) "no aadl.check span on the warm run" false
+        (checked ());
+      Putil.Tracing.reset ();
+      Alcotest.(check bool) "same legality issues" true (issues0 = issues1);
+      Alcotest.(check string) "same diagnostics" diags0 diags1)
+
+(* Minor words one warm timing edit may allocate: a store-backed
+   External session on the case study, back to a source the store has
+   seen. The edit reads the parse entry, instantiates, translates
+   (every thread a memo hit) and replays the back end from the session.
+   The bound holds while no stage key marshals a model. *)
+let warm_edit_minor_words_bound = 20_000.
+
+let test_warm_edit_allocation () =
+  with_temp_store (fun store _ ->
+      let session = P.new_session ~store () in
+      let seen = CS.aadl_source and edited = edited_source () in
+      let _ = analyze_ok ~session seen in
+      let _ = analyze_ok ~session edited in
+      (* the least of three: a bounded memo that happens to fill up
+         during one edit must not decide the gate *)
+      let words =
+        List.fold_left min infinity
+          (List.init 3 (fun _ ->
+               let w0 = Gc.minor_words () in
+               let _ = analyze_ok ~session seen in
+               let w = Gc.minor_words () -. w0 in
+               let _ = analyze_ok ~session edited in
+               w))
+      in
+      if words > warm_edit_minor_words_bound then
+        Alcotest.failf "a warm timing edit allocated %.0f minor words (bound %.0f)"
+          words warm_edit_minor_words_bound)
+
 let test_external_ctl_inputs () =
   let a = analyze_ok ~mode:ST.External CS.aadl_source in
   let ctls = a.P.translation.ST.ctl_inputs in
@@ -574,8 +688,8 @@ let suite =
           test_traceability_roundtrip;
         Alcotest.test_case "session skips unchanged input" `Quick
           test_session_skips_unchanged;
-        Alcotest.test_case "period edit skips back end" `Quick
-          test_session_period_edit_skips_backend;
+        Alcotest.test_case "period and comment edits skip back end" `Quick
+          test_session_edit_skips_backend;
         Alcotest.test_case "period edit still reschedules" `Quick
           test_session_period_edit_changes_schedule;
         Alcotest.test_case "incremental byte-identical to rebuild" `Quick
@@ -589,5 +703,11 @@ let suite =
         Alcotest.test_case "external scheduler matches embedded" `Quick
           test_external_matches_embedded;
         Alcotest.test_case "external ctl inputs well-formed" `Quick
-          test_external_ctl_inputs ]
+          test_external_ctl_inputs;
+        Alcotest.test_case "translation digests each process once" `Quick
+          test_translation_digests;
+        Alcotest.test_case "legality replayed with the parse" `Quick
+          test_legality_replayed_with_parse;
+        Alcotest.test_case "warm timing edit allocation bound" `Quick
+          test_warm_edit_allocation ]
       @ qsuite ) ]

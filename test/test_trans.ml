@@ -31,7 +31,7 @@ let has_output p name =
   List.exists (fun vd -> vd.Ast.var_name = name) p.Ast.outputs
 
 let test_thread_interface () =
-  let p = TT.translate ~registry:Trans.Behavior.empty (producer ()) in
+  let p, _ = TT.translate ~registry:Trans.Behavior.empty (producer ()) in
   (* ctl1 bundle *)
   List.iter
     (fun n -> Alcotest.(check bool) (n ^ " input") true (has_input p n))
@@ -49,7 +49,7 @@ let test_thread_interface () =
 let test_thread_ports_are_processes () =
   (* Fig. 5: the in event port becomes an in_event_port instance with
      the declared queue size *)
-  let p = TT.translate ~registry:Trans.Behavior.empty (producer ()) in
+  let p, _ = TT.translate ~registry:Trans.Behavior.empty (producer ()) in
   let found =
     List.exists
       (fun st ->
@@ -74,7 +74,7 @@ let test_thread_ports_are_processes () =
   Alcotest.(check bool) "out_event_port instantiated" true out_found
 
 let test_thread_well_typed () =
-  let p = TT.translate ~registry:Polychrony.Case_study.registry_nominal
+  let p, _ = TT.translate ~registry:Polychrony.Case_study.registry_nominal
       (producer ()) in
   Alcotest.(check (list string)) "thread model typechecks" []
     (List.map Signal_lang.Typecheck.error_to_string
