@@ -124,11 +124,12 @@ type memos = {
 
 (* The store tags are part of the on-disk format: existing [.pcache]
    directories keep hitting only while they stay byte-identical.
-   Instantiate and translate have no tag: their values carry interned
-   UIDs, dense ids into this process's interner that would resolve
-   against an unrelated interner when replayed by a fresh process. The
-   parse tag names its value type: [stage.parse] entries held the bare
-   packages and must never be read as packages paired with issues. *)
+   Instantiate and translate have no tag: their values are plain data,
+   but perfbench's edit-session pins their traffic (one run on every
+   reopen and every new source), so storing them waits for a benchmark
+   change. The parse tag names its value type: [stage.parse] entries
+   held the bare packages and must never be read as packages paired
+   with issues. *)
 let memos store =
   let tagged tag = Option.map (fun s -> (s, tag)) store in
   (* name-keyed, so at most one entry per stage or process *)

@@ -1,7 +1,7 @@
 (** The int-indexed program IR shared by {!Engine} and {!Compile}.
 
-    One lowering pass ({!of_kprocess}) interns every signal of a
-    kernel process into a dense index and rewrites equations,
+    One lowering pass ({!of_kprocess}) maps every signal of a
+    kernel process to a dense index and rewrites equations,
     constraints and primitive instances over those indices. The
     fixpoint interpreter consumes [eqs]/[constraints]/[prims]; the
     clock-directed compiler consumes the derived per-signal [vdefs]

@@ -1,6 +1,5 @@
 module Ast = Signal_lang.Ast
 module Types = Signal_lang.Types
-module Symbol = Putil.Symbol
 
 (* Steps live in a growable array so random access is O(1); traces of
    hundreds of thousands of instants appear in the benches.
@@ -26,7 +25,7 @@ type row = cell array
 type header = {
   names : string array;
   types : Types.styp array;
-  lookup : int Symbol.Tbl.t;        (* symbol -> index, -1 *)
+  lookup : (string, int) Hashtbl.t; (* name -> index *)
   cells : cell array;
       (* [2i] and [2i+1]: the false and true cells of bool signal [i],
          [2i+1] the cell of event signal [i] *)
@@ -44,10 +43,8 @@ let empty_cell : cell = (0, Types.Vint 0)
 let header decl_list =
   let decls = Array.of_list decl_list in
   let names = Array.map (fun vd -> vd.Ast.var_name) decls in
-  let lookup = Symbol.Tbl.create ~size:(Array.length decls) (-1) in
-  Array.iteri
-    (fun i name -> Symbol.Tbl.set lookup (Symbol.of_string name) i)
-    names;
+  let lookup = Hashtbl.create (Array.length decls) in
+  Array.iteri (fun i name -> Hashtbl.replace lookup name i) names;
   let types = Array.map (fun vd -> vd.Ast.var_type) decls in
   let cells = Array.make (2 * Array.length decls) empty_cell in
   Array.iteri
@@ -76,9 +73,7 @@ let declarations t =
       { Ast.var_name = t.h.names.(i); var_type = t.h.types.(i);
         var_mark = Ast.Mbare })
 
-let index_of t x =
-  let i = Symbol.Tbl.get t.h.lookup (Symbol.of_string x) in
-  if i >= 0 then Some i else None
+let index_of t x = Hashtbl.find_opt t.h.lookup x
 
 let name_of t i = t.h.names.(i)
 

@@ -4,10 +4,12 @@
 type t
 
 type header
-(** What a trace knows of its signals: their names, types and name
-    lookup, and the interned row cells of the two values of each
-    [bool] signal and of each [event] signal. It is immutable and may be
-    shared by any number of traces, across domains too: the compiled
+(** What a trace knows of its signals: their names, types and a name
+    lookup over those names alone (built once, so its size follows the
+    header's own signals), and the interned row cells of the two values
+    of each [bool] signal and of each [event] signal. It is never
+    written after it is built and may be shared by any number of
+    traces, across domains too: the compiled
     simulator builds one header per plan, and every trace of every
     instance over that plan shares it. *)
 

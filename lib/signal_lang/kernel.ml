@@ -61,44 +61,24 @@ let digest kp =
 (* ------------------------------------------------------------------ *)
 
 (* Dense per-process indexing of the declared signals, in [signals]
-   order (inputs, outputs, locals). Names are interned once; lookup is
-   a flat array read over global symbol ids, so every downstream layer
+   order (inputs, outputs, locals), with a name -> index table of the
+   process's own names built once, so every downstream layer
    (simulator, clock calculus, compiler) can key its state on ints. *)
 type sigtab = {
-  st_syms : Putil.Symbol.t array;        (* local idx -> symbol *)
-  st_uids : Putil.Uid.Signal.t array;    (* local idx -> signal UID *)
-  st_decls : Ast.nvardecl array;         (* local idx -> declaration *)
-  st_lookup : int Putil.Symbol.Tbl.t;    (* symbol -> local idx, -1 *)
+  st_decls : Ast.nvardecl array;          (* local idx -> declaration *)
+  st_lookup : (string, int) Hashtbl.t;    (* name -> local idx *)
 }
 
 let sigtab kp =
   let decls = Array.of_list (signals kp) in
-  let syms =
-    Array.map (fun vd -> Putil.Symbol.of_string vd.Ast.var_name) decls
-  in
-  let uids =
-    Array.map (fun vd -> Putil.Uid.Signal.intern vd.Ast.var_name) decls
-  in
-  let lookup = Putil.Symbol.Tbl.create ~size:(Array.length syms) (-1) in
-  Array.iteri (fun i s -> Putil.Symbol.Tbl.set lookup s i) syms;
-  { st_syms = syms; st_uids = uids; st_decls = decls; st_lookup = lookup }
+  let lookup = Hashtbl.create (Array.length decls) in
+  Array.iteri (fun i vd -> Hashtbl.replace lookup vd.Ast.var_name i) decls;
+  { st_decls = decls; st_lookup = lookup }
 
-let st_count tab = Array.length tab.st_syms
-let st_sym tab i = tab.st_syms.(i)
-let st_uid tab i = tab.st_uids.(i)
-let st_name tab i = Putil.Symbol.name tab.st_syms.(i)
+let st_count tab = Array.length tab.st_decls
+let st_name tab i = tab.st_decls.(i).Ast.var_name
 let st_decl tab i = tab.st_decls.(i)
-
-let st_index_sym tab s =
-  let i = Putil.Symbol.Tbl.get tab.st_lookup s in
-  if i >= 0 then Some i else None
-
-let st_index_opt tab x = st_index_sym tab (Putil.Symbol.of_string x)
-
-let st_index_exn tab x =
-  match st_index_opt tab x with
-  | Some i -> i
-  | None -> raise Not_found
+let st_index_opt tab x = Hashtbl.find_opt tab.st_lookup x
 
 let eq_dst = function
   | Kfunc { dst; _ } | Kdelay { dst; _ } | Kwhen { dst; _ }

@@ -70,8 +70,8 @@ val digest : kprocess -> string
 (** {1 Indexed signal table}
 
     Dense per-process indexing of the declared signals, in {!signals}
-    order. Names are interned ({!Putil.Symbol}) so lookup is a flat
-    array read; the simulator, the compiler and the clock calculus all
+    order, with a name lookup over the process's own names built once
+    per table; the simulator, the compiler and the clock calculus all
     key their per-signal state on these indices. *)
 
 type sigtab
@@ -79,19 +79,9 @@ type sigtab
 val sigtab : kprocess -> sigtab
 
 val st_count : sigtab -> int
-val st_sym : sigtab -> int -> Putil.Symbol.t
-
-val st_uid : sigtab -> int -> Putil.Uid.Signal.t
-(** The signal's interned {!Putil.Uid.Signal} identity — the key the
-    traceability map uses. *)
-
 val st_name : sigtab -> int -> Ast.ident
 val st_decl : sigtab -> int -> Ast.nvardecl
-val st_index_sym : sigtab -> Putil.Symbol.t -> int option
 val st_index_opt : sigtab -> Ast.ident -> int option
-
-val st_index_exn : sigtab -> Ast.ident -> int
-(** @raise Not_found for undeclared signals. *)
 
 val defined_by : kprocess -> Ast.ident -> keq list
 (** Equations whose destination is the given signal. *)

@@ -373,9 +373,8 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
         (List.map
            (fun th ->
              let model, digest = Thread_trans.translate ~registry th in
-             Traceability.add_component trace
-               ~aadl:(Putil.Uid.Thread.intern th.Inst.i_path)
-               ~signal:(Putil.Uid.Signal.intern model.Ast.proc_name);
+             Traceability.add_component trace ~aadl:th.Inst.i_path
+               ~signal:model.Ast.proc_name;
              ((th, model), digest))
            threads)
     in
@@ -393,7 +392,7 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
         List.map
           (fun (cpu, s) ->
             let name = sched_name cpu in
-            Traceability.add trace ~aadl:cpu ~signal:name;
+            Traceability.add_component trace ~aadl:cpu ~signal:name;
             (cpu, Sched_trans.translate ~name ~prefix_of:prefix_of_task s))
           schedules
     in
@@ -465,8 +464,7 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
     let env_input_name path =
       let n = local_name root_path path in
       if not (List.mem n !env_inputs) then env_inputs := n :: !env_inputs;
-      Traceability.add_port trace ~aadl:(Putil.Uid.Port.intern path)
-        ~signal:(Putil.Uid.Signal.intern n);
+      Traceability.add_port trace ~aadl:path ~signal:n;
       n
     in
     let split_feature path =
@@ -501,9 +499,7 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
       (fun d ->
         let dp = lname d in
         Hashtbl.replace data_prefix d.Inst.i_path dp;
-        Traceability.add_component trace
-          ~aadl:(Putil.Uid.Thread.intern d.Inst.i_path)
-          ~signal:(Putil.Uid.Signal.intern dp))
+        Traceability.add_component trace ~aadl:d.Inst.i_path ~signal:dp)
       datas;
     (* access connections, resolved to (data path, thread path, access) *)
     let access_links =
@@ -661,9 +657,8 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
                 | Aadl.Props.At_complete -> complete
                 | Aadl.Props.At_deadline -> deadline
               in
-              Traceability.add_port trace
-                ~aadl:(Putil.Uid.Port.intern dstpath)
-                ~signal:(Putil.Uid.Signal.intern (tp ^ "_" ^ p));
+              Traceability.add_port trace ~aadl:dstpath
+                ~signal:(tp ^ "_" ^ p);
               [ arrival; B.v ft ])
             ins
         in
@@ -750,9 +745,7 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
           in
           if dst_is_env && src_is_thread then begin
             let out = local_name root_path c.Inst.ci_dst in
-            Traceability.add_port trace
-              ~aadl:(Putil.Uid.Port.intern c.Inst.ci_dst)
-              ~signal:(Putil.Uid.Signal.intern out);
+            Traceability.add_port trace ~aadl:c.Inst.ci_dst ~signal:out;
             if not (List.mem out !env_outputs) then begin
               env_outputs := out :: !env_outputs;
               env_out_stmts :=

@@ -1,77 +1,36 @@
-module Symbol = Putil.Symbol
-module Uid = Putil.Uid
-
-(* Entries are keyed on per-category UIDs (threads/components, ports,
-   and the generated SIGNAL signals): translation records typed pairs,
-   and the string API below interns on the fly for callers that only
-   hold names. Lookup in either direction is dense int indexing over
-   the category's id space, not string hashing. *)
-
-type aadl_key =
-  | Kcomponent of Uid.Thread.t  (* component instance path *)
-  | Kport of Uid.Port.t         (* feature/port instance path *)
+(* Entries are keyed on the AADL instance paths and the generated
+   SIGNAL names themselves: each direction is a table of its own
+   strings, so a translation's traceability is plain data. *)
 
 type t = {
-  mutable pairs : (aadl_key * Uid.Signal.t) list;  (* reversed *)
-  by_component : Uid.Signal.t option Uid.Thread.Tbl.t;
-  by_port : Uid.Signal.t option Uid.Port.Tbl.t;
-  by_signal : aadl_key option Uid.Signal.Tbl.t;
+  mutable pairs : (string * string) list;  (* reversed *)
+  components : (string, string) Hashtbl.t;  (* component path -> signal *)
+  ports : (string, string) Hashtbl.t;       (* feature path -> signal *)
+  by_signal : (string, string) Hashtbl.t;   (* signal -> AADL path *)
 }
 
 let create () =
   { pairs = [];
-    by_component = Uid.Thread.Tbl.create None;
-    by_port = Uid.Port.Tbl.create None;
-    by_signal = Uid.Signal.Tbl.create None }
+    components = Hashtbl.create 16;
+    ports = Hashtbl.create 16;
+    by_signal = Hashtbl.create 16 }
 
-let add_key t key signal =
-  t.pairs <- (key, signal) :: t.pairs;
-  (match key with
-   | Kcomponent c -> Uid.Thread.Tbl.set t.by_component c (Some signal)
-   | Kport p -> Uid.Port.Tbl.set t.by_port p (Some signal));
-  Uid.Signal.Tbl.set t.by_signal signal (Some key)
+let add tbl t ~aadl ~signal =
+  t.pairs <- (aadl, signal) :: t.pairs;
+  Hashtbl.replace tbl aadl signal;
+  Hashtbl.replace t.by_signal signal aadl
 
-let add_component t ~aadl ~signal = add_key t (Kcomponent aadl) signal
-let add_port t ~aadl ~signal = add_key t (Kport aadl) signal
-
-(* string compatibility path: component paths and feature paths live in
-   disjoint sets in an instance tree, so classifying by what was
-   recorded first is unambiguous *)
-let add t ~aadl ~signal =
-  add_component t ~aadl:(Uid.Thread.intern aadl)
-    ~signal:(Uid.Signal.intern signal)
-
-let signal_uid_of t key =
-  match key with
-  | Kcomponent c -> Uid.Thread.Tbl.get t.by_component c
-  | Kport p -> Uid.Port.Tbl.get t.by_port p
-
-let aadl_key_of t signal = Uid.Signal.Tbl.get t.by_signal signal
-
-let key_name = function
-  | Kcomponent c -> Uid.Thread.name c
-  | Kport p -> Uid.Port.name p
+let add_component t = add t.components t
+let add_port t = add t.ports t
 
 let signal_of t aadl =
-  let as_component =
-    Uid.Thread.Tbl.get t.by_component (Uid.Thread.intern aadl)
-  in
-  let found =
-    match as_component with
-    | Some _ -> as_component
-    | None -> Uid.Port.Tbl.get t.by_port (Uid.Port.intern aadl)
-  in
-  Option.map Uid.Signal.name found
+  match Hashtbl.find_opt t.components aadl with
+  | Some _ as found -> found
+  | None -> Hashtbl.find_opt t.ports aadl
 
-let aadl_of t signal =
-  Option.map key_name (aadl_key_of t (Uid.Signal.intern signal))
+let aadl_of t signal = Hashtbl.find_opt t.by_signal signal
 
-let entries t =
-  List.rev_map
-    (fun (k, s) -> (key_name k, Uid.Signal.name s))
-    t.pairs
-
-let typed_entries t = List.rev t.pairs
+let entries t = List.rev t.pairs
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -2,45 +2,28 @@
     signals/processes (paper Sec. IV-E: names preserved as names or in
     annotations).
 
-    Entries are keyed on interned per-category UIDs ({!Putil.Uid}):
-    AADL component instances ({!Putil.Uid.Thread}) and feature
-    instances ({!Putil.Uid.Port}) on one side, generated SIGNAL
-    signals ({!Putil.Uid.Signal}) on the other. The string-based API
-    interns on the fly, so existing callers keep working on names. *)
+    Entries pair an AADL instance path (a component instance or a
+    feature instance) with the name of the generated SIGNAL signal or
+    process; each direction is looked up in a table of the map's own
+    strings, so the map is plain data. *)
 
 type t
 
-(** Which kind of AADL element an entry points at. *)
-type aadl_key =
-  | Kcomponent of Putil.Uid.Thread.t
-      (** a component instance (thread, data, processor…), keyed by
-          instance path *)
-  | Kport of Putil.Uid.Port.t
-      (** a feature instance, keyed by feature path *)
-
 val create : unit -> t
 
-(** {1 Typed API} *)
+val add_component : t -> aadl:string -> signal:string -> unit
+(** Records a component instance (thread, data, processor…), keyed by
+    its instance path. *)
 
-val add_component :
-  t -> aadl:Putil.Uid.Thread.t -> signal:Putil.Uid.Signal.t -> unit
-
-val add_port :
-  t -> aadl:Putil.Uid.Port.t -> signal:Putil.Uid.Signal.t -> unit
-
-val signal_uid_of : t -> aadl_key -> Putil.Uid.Signal.t option
-val aadl_key_of : t -> Putil.Uid.Signal.t -> aadl_key option
-
-val typed_entries : t -> (aadl_key * Putil.Uid.Signal.t) list
-(** UID-keyed pairs in insertion order. *)
-
-(** {1 String compatibility API} *)
-
-val add : t -> aadl:string -> signal:string -> unit
-(** Records the pair as a component entry (interning both sides). *)
+val add_port : t -> aadl:string -> signal:string -> unit
+(** Records a feature instance, keyed by its feature path. *)
 
 val signal_of : t -> string -> string option
+(** The signal last recorded for the path, looked up among components
+    first, then among ports. *)
+
 val aadl_of : t -> string -> string option
+(** The path last recorded for the signal. *)
 
 val entries : t -> (string * string) list
 (** (aadl path, signal name) pairs in insertion order. *)

@@ -171,6 +171,140 @@ let test_case_study_plan_properties () =
       (Compile.plan_length c
        > List.length (Signal_lang.Kernel.signals a.Polychrony.Pipeline.kernel))
 
+(* a name index is sized by its own signals: the signal table and the
+   trace header of a ten-signal kernel stay small after the process has
+   built both for thousands of other names *)
+let test_name_index_own_size () =
+  let module K = Signal_lang.Kernel in
+  let a =
+    match
+      Polychrony.Pipeline.analyze
+        ~registry:Polychrony.Case_study.registry_nominal
+        Polychrony.Case_study.aadl_source
+    with
+    | Ok a -> a
+    | Error m -> Alcotest.fail (Putil.Diag.list_to_string m)
+  in
+  let kp = a.Polychrony.Pipeline.kernel in
+  let rename k =
+    List.map (fun vd ->
+        let name = Printf.sprintf "%s__copy%d" vd.Ast.var_name k in
+        { vd with Ast.var_name = name })
+  in
+  let copies = 8 in
+  for k = 1 to copies do
+    let kp' =
+      { kp with
+        K.kinputs = rename k kp.K.kinputs;
+        koutputs = rename k kp.K.koutputs;
+        klocals = rename k kp.K.klocals }
+    in
+    ignore (Sys.opaque_identity (K.sigtab kp'));
+    ignore (Sys.opaque_identity (Trace.header (K.signals kp')))
+  done;
+  Alcotest.(check bool) "about 5000 names seen" true
+    (copies * K.signal_count kp >= 5000);
+  let own = 10 in
+  let small =
+    { kp with
+      K.kinputs =
+        List.filteri (fun i _ -> i < own) (K.signals kp)
+        |> List.mapi (fun i vd ->
+               let name = Printf.sprintf "name_index_small_%d" i in
+               { vd with Ast.var_name = name });
+      koutputs = []; klocals = [] }
+  in
+  let words_per_signal v = Obj.reachable_words (Obj.repr v) / own in
+  let tab = K.sigtab small and h = Trace.header (K.signals small) in
+  Alcotest.(check int) "own signals" own (K.st_count tab);
+  Alcotest.(check (option int)) "lookup" (Some 3)
+    (K.st_index_opt tab "name_index_small_3");
+  (* both measure 17 words per own signal; a table sized by every name
+     the process has seen reads about a thousand here *)
+  List.iter
+    (fun (what, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d words per own signal <= 40" what words)
+        true (words <= 40))
+    [ ("sigtab", words_per_signal tab); ("trace header", words_per_signal h) ]
+
+(* each name index answers exactly its own declarations: every
+   declared name maps to its declaration index, and a name declared
+   only by the other scheduler mode's kernel, or by none, is absent *)
+let mode_kernels () =
+  List.map
+    (fun mode ->
+      match
+        Polychrony.Pipeline.analyze
+          ~registry:Polychrony.Case_study.registry_nominal ~mode
+          Polychrony.Case_study.aadl_source
+      with
+      | Ok a -> a.Polychrony.Pipeline.kernel
+      | Error m -> Alcotest.fail (Putil.Diag.list_to_string m))
+    [ Trans.System_trans.Embedded; Trans.System_trans.External ]
+
+let foreign_names kp other =
+  let module K = Signal_lang.Kernel in
+  let own = List.map (fun vd -> vd.Ast.var_name) (K.signals kp) in
+  "name_index_undeclared"
+  :: List.filter_map
+       (fun vd ->
+         if List.mem vd.Ast.var_name own then None
+         else Some vd.Ast.var_name)
+       (K.signals other)
+
+let test_sigtab_own_names () =
+  let module K = Signal_lang.Kernel in
+  let kps = mode_kernels () in
+  List.iter
+    (fun (kp, other) ->
+      let tab = K.sigtab kp in
+      Alcotest.(check int) "count" (K.signal_count kp) (K.st_count tab);
+      List.iteri
+        (fun i vd ->
+          Alcotest.(check string) "name" vd.Ast.var_name (K.st_name tab i);
+          Alcotest.(check string) "decl" vd.Ast.var_name
+            (K.st_decl tab i).Ast.var_name;
+          Alcotest.(check (option int)) ("index of " ^ vd.Ast.var_name)
+            (Some i) (K.st_index_opt tab vd.Ast.var_name))
+        (K.signals kp);
+      List.iter
+        (fun x ->
+          Alcotest.(check (option int)) ("absent " ^ x) None
+            (K.st_index_opt tab x))
+        (foreign_names kp other))
+    (List.combine kps (List.rev kps));
+  (* the embedded kernel's scheduler signals are foreign to the
+     external one *)
+  match kps with
+  | [ embedded; external_ ] ->
+    Alcotest.(check bool) "foreign names to look up" true
+      (List.length (foreign_names external_ embedded) > 1)
+  | _ -> assert false
+
+let test_trace_header_own_names () =
+  let module K = Signal_lang.Kernel in
+  let kps = mode_kernels () in
+  List.iter
+    (fun (kp, other) ->
+      let t = Trace.of_header (Trace.header (K.signals kp)) in
+      Alcotest.(check (list string)) "declarations"
+        (List.map (fun vd -> vd.Ast.var_name) (K.signals kp))
+        (List.map (fun vd -> vd.Ast.var_name) (Trace.declarations t));
+      List.iteri
+        (fun i vd ->
+          Alcotest.(check string) "name_of" vd.Ast.var_name
+            (Trace.name_of t i);
+          Alcotest.(check (option int)) ("index_of " ^ vd.Ast.var_name)
+            (Some i) (Trace.index_of t vd.Ast.var_name))
+        (K.signals kp);
+      List.iter
+        (fun x ->
+          Alcotest.(check (option int)) ("absent " ^ x) None
+            (Trace.index_of t x))
+        (foreign_names kp other))
+    (List.combine kps (List.rev kps))
+
 (* ---------------- random-program equivalence ---------------------- *)
 
 (* Build random acyclic, clock-consistent programs over two
@@ -504,6 +638,12 @@ let suite =
          test_case_study_equiv;
        Alcotest.test_case "case study plan" `Quick
          test_case_study_plan_properties;
+       Alcotest.test_case "name index sized by its own signals" `Quick
+         test_name_index_own_size;
+       Alcotest.test_case "sigtab indexes its own names" `Quick
+         test_sigtab_own_names;
+       Alcotest.test_case "trace header indexes its own names" `Quick
+         test_trace_header_own_names;
        Alcotest.test_case "memoized instances independent" `Quick
          test_memoized_instances_independent ]
      @ dag_oracles @ qsuite) ]

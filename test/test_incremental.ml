@@ -1,10 +1,9 @@
-(* Interned UIDs, typed traceability, and digest-driven incremental
-   recompute: the phase/mark refactor's cross-layer guarantees.
+(* Traceability and digest-driven incremental recompute: the
+   phase/mark refactor's cross-layer guarantees.
 
-   - UID interning is stable, fresh ids never collide, and the
-     protocol survives concurrent Domain_pool workers;
-   - Traceability round-trips through its typed (UID-keyed) API and
-     its string compatibility API;
+   - Traceability round-trips paths and names in both directions,
+     survives marshalling, and prints the golden block [analyze]
+     prints for the case study in both scheduler modes;
    - pipeline sessions skip exactly the stages whose input digests
      are unchanged, and a timing-only edit under External scheduler
      mode replays the whole back end from cache;
@@ -19,143 +18,84 @@ module Types = Signal_lang.Types
 module K = Signal_lang.Kernel
 module SP = Signal_lang.Sig_parser
 module Pp = Signal_lang.Pp
-module Uid = Putil.Uid
 module P = Polychrony.Pipeline
 module CS = Polychrony.Case_study
 module ST = Trans.System_trans
 
-(* ------------------------------------------------------------------ *)
-(* UIDs                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_uid_intern_stable () =
-  let a = Uid.Signal.intern "uidtest_x" in
-  let b = Uid.Signal.intern "uidtest_x" in
-  Alcotest.(check bool) "same uid" true (Uid.Signal.equal a b);
-  Alcotest.(check int) "same dense id" (Uid.Signal.id a) (Uid.Signal.id b);
-  Alcotest.(check string) "name round-trip" "uidtest_x" (Uid.Signal.name a);
-  Alcotest.(check string)
-    "symbol round-trip" "uidtest_x"
-    (Putil.Symbol.name (Uid.Signal.sym a));
-  Alcotest.(check bool)
-    "id in range" true
-    (Uid.Signal.id a >= 0 && Uid.Signal.id a < Uid.Signal.count ())
-
-let test_uid_fresh_distinct () =
-  let interned = Uid.Signal.intern "uidtest_f" in
-  let f1 = Uid.Signal.fresh "uidtest_f" in
-  let f2 = Uid.Signal.fresh "uidtest_f" in
-  Alcotest.(check bool) "fresh <> interned" false
-    (Uid.Signal.equal f1 interned);
-  Alcotest.(check bool) "fresh <> fresh" false (Uid.Signal.equal f1 f2);
-  (* a fresh uid's name is itself interned to that uid, so later
-     interning of the generated name cannot alias another entity *)
-  Alcotest.(check bool) "fresh name resolves to itself" true
-    (Uid.Signal.equal f1 (Uid.Signal.intern (Uid.Signal.name f1)))
-
-let test_uid_categories_independent () =
-  let t = Uid.Thread.intern "uidtest_shared_name" in
-  let s = Uid.Signal.intern "uidtest_shared_name" in
-  (* same string, distinct id spaces: both resolve, both round-trip *)
-  Alcotest.(check string) "thread name" "uidtest_shared_name"
-    (Uid.Thread.name t);
-  Alcotest.(check string) "signal name" "uidtest_shared_name"
-    (Uid.Signal.name s)
-
-let test_uid_tbl () =
-  let tbl = Uid.Port.Tbl.create ~size:4 0 in
-  let p1 = Uid.Port.intern "uidtest_p1" in
-  let p2 = Uid.Port.intern "uidtest_p2" in
-  Uid.Port.Tbl.set tbl p1 41;
-  Uid.Port.Tbl.set tbl p2 42;
-  Alcotest.(check int) "tbl get p1" 41 (Uid.Port.Tbl.get tbl p1);
-  Alcotest.(check int) "tbl get p2" 42 (Uid.Port.Tbl.get tbl p2);
-  Alcotest.(check int) "tbl default" 0
-    (Uid.Port.Tbl.get tbl (Uid.Port.intern "uidtest_p3"))
-
-(* Satellite 1: interning is safe under Domain_pool workers — several
-   domains hammer the same names concurrently and must agree on every
-   resulting uid. *)
-let test_uid_parallel_intern () =
-  let n_names = 200 and n_workers = 4 in
-  let names =
-    List.init n_names (Printf.sprintf "uidtest_par_%d")
-  in
-  let results =
-    Array.init n_workers (fun _ -> Array.make n_names (-1))
-  in
-  Putil.Domain_pool.with_pool n_workers (fun pool ->
-      Putil.Domain_pool.run_tasks pool
-        (List.init n_workers (fun w () ->
-             List.iteri
-               (fun i name ->
-                 results.(w).(i) <- Uid.Thread.id (Uid.Thread.intern name))
-               names)));
-  for w = 1 to n_workers - 1 do
-    Alcotest.(check (array int))
-      (Printf.sprintf "worker %d agrees with worker 0" w)
-      results.(0) results.(w)
-  done;
-  (* dense, collision-free: every name got its own id *)
-  let sorted = Array.copy results.(0) in
-  Array.sort compare sorted;
-  let distinct =
-    Array.for_all (fun x -> x >= 0) sorted
-    && Array.for_all Fun.id
-         (Array.mapi (fun i x -> i = 0 || sorted.(i - 1) <> x) sorted)
-  in
-  Alcotest.(check bool) "ids distinct" true distinct;
-  List.iteri
-    (fun i name ->
-      Alcotest.(check string) "name survives parallel interning" name
-        (Uid.Thread.name (Uid.Thread.intern name));
-      ignore i)
-    names
+let analyze_ok ?session ?(mode = ST.External) src =
+  match P.analyze ?session ~registry:CS.registry_nominal ~mode src with
+  | Ok a -> a
+  | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
 
 (* ------------------------------------------------------------------ *)
-(* Traceability: typed UID round-trip                                 *)
+(* Traceability                                                       *)
 (* ------------------------------------------------------------------ *)
+
+module Tr = Trans.Traceability
 
 let test_traceability_roundtrip () =
-  let tr = Trans.Traceability.create () in
-  let th = Uid.Thread.intern "Sys.pr.thA" in
-  let po = Uid.Port.intern "Sys.pr.thA.pOut" in
-  let s_th = Uid.Signal.intern "th_Sys_pr_thA" in
-  let s_po = Uid.Signal.intern "thA_pOut" in
-  Trans.Traceability.add_component tr ~aadl:th ~signal:s_th;
-  Trans.Traceability.add_port tr ~aadl:po ~signal:s_po;
-  (* typed direction: key -> signal *)
-  (match Trans.Traceability.signal_uid_of tr (Trans.Traceability.Kcomponent th) with
-   | Some s -> Alcotest.(check bool) "component -> signal" true
-                 (Uid.Signal.equal s s_th)
-   | None -> Alcotest.fail "component key lost");
-  (match Trans.Traceability.signal_uid_of tr (Trans.Traceability.Kport po) with
-   | Some s -> Alcotest.(check bool) "port -> signal" true
-                 (Uid.Signal.equal s s_po)
-   | None -> Alcotest.fail "port key lost");
-  (* typed reverse direction: signal -> key *)
-  (match Trans.Traceability.aadl_key_of tr s_th with
-   | Some (Trans.Traceability.Kcomponent t) ->
-     Alcotest.(check bool) "signal -> component" true (Uid.Thread.equal t th)
-   | _ -> Alcotest.fail "component reverse lookup lost");
-  (match Trans.Traceability.aadl_key_of tr s_po with
-   | Some (Trans.Traceability.Kport p) ->
-     Alcotest.(check bool) "signal -> port" true (Uid.Port.equal p po)
-   | _ -> Alcotest.fail "port reverse lookup lost");
-  (* string compatibility API sees the same pairs *)
+  let tr = Tr.create () in
+  Tr.add_component tr ~aadl:"Sys.pr.thA" ~signal:"th_Sys_pr_thA";
+  Tr.add_port tr ~aadl:"Sys.pr.thA.pOut" ~signal:"thA_pOut";
   Alcotest.(check (option string)) "signal_of component"
-    (Some "th_Sys_pr_thA")
-    (Trans.Traceability.signal_of tr "Sys.pr.thA");
+    (Some "th_Sys_pr_thA") (Tr.signal_of tr "Sys.pr.thA");
   Alcotest.(check (option string)) "signal_of port" (Some "thA_pOut")
-    (Trans.Traceability.signal_of tr "Sys.pr.thA.pOut");
+    (Tr.signal_of tr "Sys.pr.thA.pOut");
   Alcotest.(check (option string)) "aadl_of component" (Some "Sys.pr.thA")
-    (Trans.Traceability.aadl_of tr "th_Sys_pr_thA");
+    (Tr.aadl_of tr "th_Sys_pr_thA");
   Alcotest.(check (option string)) "aadl_of port" (Some "Sys.pr.thA.pOut")
-    (Trans.Traceability.aadl_of tr "thA_pOut");
-  Alcotest.(check int) "typed_entries arity" 2
-    (List.length (Trans.Traceability.typed_entries tr));
-  Alcotest.(check int) "entries arity" 2
-    (List.length (Trans.Traceability.entries tr))
+    (Tr.aadl_of tr "thA_pOut");
+  Alcotest.(check (option string)) "unknown path" None
+    (Tr.signal_of tr "Sys.pr.thB");
+  Alcotest.(check (option string)) "unknown signal" None
+    (Tr.aadl_of tr "thB_pOut");
+  (* a path recorded both ways answers with its component; the last
+     entry for a signal wins *)
+  Tr.add_port tr ~aadl:"Sys.pr.thA" ~signal:"thA_as_port";
+  Tr.add_component tr ~aadl:"Sys.pr.thC" ~signal:"thA_pOut";
+  Alcotest.(check (option string)) "components before ports"
+    (Some "th_Sys_pr_thA") (Tr.signal_of tr "Sys.pr.thA");
+  Alcotest.(check (option string)) "last entry wins for a signal"
+    (Some "Sys.pr.thC") (Tr.aadl_of tr "thA_pOut");
+  Alcotest.(check (list (pair string string))) "entries in insertion order"
+    [ ("Sys.pr.thA", "th_Sys_pr_thA"); ("Sys.pr.thA.pOut", "thA_pOut");
+      ("Sys.pr.thA", "thA_as_port"); ("Sys.pr.thC", "thA_pOut") ]
+    (Tr.entries tr)
+
+(* a translation's map is plain data: marshalled with sharing, as the
+   persistent store writes its payloads, it answers every lookup as
+   before *)
+let test_traceability_marshal () =
+  let a = analyze_ok ~mode:ST.Embedded CS.aadl_source in
+  let tr = a.P.translation.ST.trace in
+  let tr' : Tr.t = Marshal.from_string (Marshal.to_string tr []) 0 in
+  let entries = Tr.entries tr in
+  Alcotest.(check bool) "entries recorded" true (List.length entries > 10);
+  Alcotest.(check (list (pair string string))) "entries" entries
+    (Tr.entries tr');
+  List.iter
+    (fun (path, signal) ->
+      Alcotest.(check (option string)) ("signal_of " ^ path)
+        (Tr.signal_of tr path) (Tr.signal_of tr' path);
+      Alcotest.(check (option string)) ("aadl_of " ^ signal)
+        (Tr.aadl_of tr signal) (Tr.aadl_of tr' signal))
+    (("ProdConsSys.nowhere", "no_signal") :: entries)
+
+(* [analyze]'s text report after its run metrics: the traceability
+   block, then the diagnostics *)
+let test_traceability_golden (mode, mode_name) () =
+  let src = CS.aadl_source in
+  let a = analyze_ok ~mode src in
+  let block =
+    Format.asprintf "traceability:@.%a@." Tr.pp a.P.translation.ST.trace
+    ^ (if a.P.diags = [] then ""
+       else "\n" ^ Putil.Diag.render_list ~src a.P.diags)
+  in
+  Alcotest.(check string) "traceability block"
+    (Test_data.read
+       (Printf.sprintf "corpus/golden/traceability_case_study_%s.txt"
+          mode_name))
+    block
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions                                               *)
@@ -177,11 +117,6 @@ let delta before after =
       assert (st = st');
       (st, r1 - r0, s1 - s0))
     before after
-
-let analyze_ok ?session ?(mode = ST.External) src =
-  match P.analyze ?session ~registry:CS.registry_nominal ~mode src with
-  | Ok a -> a
-  | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
 
 let edited_source () =
   let src = CS.aadl_source in
@@ -677,15 +612,14 @@ let qsuite =
 
 let suite =
   [ ( "incremental",
-      [ Alcotest.test_case "uid intern stable" `Quick test_uid_intern_stable;
-        Alcotest.test_case "uid fresh distinct" `Quick test_uid_fresh_distinct;
-        Alcotest.test_case "uid categories independent" `Quick
-          test_uid_categories_independent;
-        Alcotest.test_case "uid tables" `Quick test_uid_tbl;
-        Alcotest.test_case "uid parallel interning" `Quick
-          test_uid_parallel_intern;
-        Alcotest.test_case "traceability uid round-trip" `Quick
+      [ Alcotest.test_case "traceability round-trip" `Quick
           test_traceability_roundtrip;
+        Alcotest.test_case "traceability survives marshalling" `Quick
+          test_traceability_marshal;
+        Alcotest.test_case "golden traceability: embedded" `Quick
+          (test_traceability_golden (ST.Embedded, "embedded"));
+        Alcotest.test_case "golden traceability: external" `Quick
+          (test_traceability_golden (ST.External, "external"));
         Alcotest.test_case "session skips unchanged input" `Quick
           test_session_skips_unchanged;
         Alcotest.test_case "period and comment edits skip back end" `Quick

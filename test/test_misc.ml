@@ -147,7 +147,7 @@ let test_vcd_signal_selection () =
 
 let test_traceability_pp () =
   let t = Trans.Traceability.create () in
-  Trans.Traceability.add t ~aadl:"sys.th" ~signal:"th_sys_th";
+  Trans.Traceability.add_component t ~aadl:"sys.th" ~signal:"th_sys_th";
   let s = Format.asprintf "%a" Trans.Traceability.pp t in
   Alcotest.(check bool) "lists the pair" true
     (String.length s > 10);
