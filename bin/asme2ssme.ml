@@ -690,6 +690,7 @@ let recheck_cmd =
         "analyses" ];
     if verify then begin
       Clocks.Calculus.reset_cache ();
+      Trans.System_trans.reset_cache ();
       let a_cold = analyze edited in
       let r_incr = render_outputs a_incr in
       let r_cold = render_outputs a_cold in

@@ -24,6 +24,7 @@ type t = {
   root : instance;
   connections : conn_inst list;
   bindings : (string * string) list;
+  shape : string;
 }
 
 exception Inst_error of string
@@ -206,7 +207,14 @@ let instantiate_raw ?(context = []) pkg ~root =
   in
   let connections = List.rev (collect_connections env inst []) in
   let bindings = collect_bindings inst [] in
-  { root = inst; connections; bindings }
+  (* the instance is a function of the root and these packages; the
+     shapes are fixed-length digests, so the root goes first *)
+  let shape =
+    Digest.string
+      (String.concat ""
+         ((root ^ "\x00") :: List.map (fun p -> p.pkg_shape) (pkg :: context)))
+  in
+  { root = inst; connections; bindings; shape }
 
 let instantiate_exn ?context pkg ~root =
   try instantiate_raw ?context pkg ~root

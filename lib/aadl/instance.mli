@@ -36,6 +36,11 @@ type t = {
   bindings : (string * string) list;
       (** (component path, processor path) from
           Actual_Processor_Binding *)
+  shape : string;
+      (** digest of the root name and the packages' [pkg_shape]s (the
+          root's package, then the context in order): equal for two
+          instances of the same model that differ at most in
+          scheduler-owned properties ({!Props.scheduler_owned}) *)
 }
 
 val instantiate :

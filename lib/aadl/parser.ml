@@ -687,6 +687,42 @@ let declaration st =
         ct_transitions = !transitions; ct_loc = decl_loc }
   end
 
+(* The package without its scheduler-owned property associations, on
+   every type, implementation, subcomponent, connection and port *)
+let timing_free pkg =
+  let pas = List.filter (fun pa -> not (Props.is_scheduler_owned pa.pname)) in
+  let feature = function
+    | Port p -> Port { p with fprops = pas p.fprops }
+    | (Data_access _ | Subprogram_access _) as f -> f
+  in
+  let decl = function
+    | Dtype ct ->
+      Dtype
+        { ct with
+          ct_features = List.map feature ct.ct_features;
+          ct_properties = pas ct.ct_properties }
+    | Dimpl ci ->
+      Dimpl
+        { ci with
+          ci_subcomponents =
+            List.map
+              (fun sc -> { sc with sc_properties = pas sc.sc_properties })
+              ci.ci_subcomponents;
+          ci_connections =
+            List.map
+              (fun c -> { c with conn_properties = pas c.conn_properties })
+              ci.ci_connections;
+          ci_properties = pas ci.ci_properties }
+  in
+  { pkg with pkg_decls = List.map decl pkg.pkg_decls; pkg_shape = "" }
+
+(* The translation reuses what it generated from a model without its
+   scheduler-owned properties, keyed on this digest: one marshal per
+   parsed package, replayed with the parse. Locations stay in, since
+   the generated ports carry them. *)
+let shape_digest pkg =
+  Digest.string (Marshal.to_string (timing_free pkg) [ Marshal.No_sharing ])
+
 let package_body st =
   expect_kw st "package";
   let pkg_name = qname st in
@@ -719,7 +755,11 @@ let package_body st =
     error ~code:code_mismatched_end st "mismatched 'end %s' for package %s"
       e_name pkg_name;
   expect st Lexer.SEMI;
-  { pkg_name; pkg_imports = List.rev !imports; pkg_decls = List.rev !decls }
+  let pkg =
+    { pkg_name; pkg_imports = List.rev !imports; pkg_decls = List.rev !decls;
+      pkg_shape = "" }
+  in
+  { pkg with pkg_shape = shape_digest pkg }
 
 let with_state src f =
   let toks = Array.of_list (Lexer.tokenize src) in

@@ -49,5 +49,12 @@ val parse_packages_diag :
   ?file:string -> string -> (Syntax.package list, Putil.Diag.t list) result
 (** Like {!parse_packages}, with structured diagnostics. *)
 
+val shape_digest : Syntax.package -> string
+(** The digest the parser stores in [pkg_shape]: the package with
+    every scheduler-owned property association dropped
+    ({!Props.is_scheduler_owned}), source locations kept. Two packages
+    whose other declarations are equal, positions included, share
+    it. *)
+
 val parse_property_value : string -> (Syntax.property_value, string) result
 (** Parse a standalone property value (used by tests and tooling). *)

@@ -134,6 +134,12 @@ let input_time assocs = Option.bind (find "Input_Time" assocs) io_time_of_value
 let output_time assocs =
   Option.bind (find "Output_Time" assocs) io_time_of_value
 
+let scheduler_owned =
+  [ "Dispatch_Protocol"; "Period"; "Deadline"; "Compute_Execution_Time";
+    "Dispatch_Offset"; "Priority" ]
+
+let is_scheduler_owned name = List.exists (name_eq name) scheduler_owned
+
 let processor_bindings assocs =
   List.concat_map
     (fun pa ->

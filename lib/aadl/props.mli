@@ -57,6 +57,17 @@ val overflow_protocol :
 val input_time : Syntax.property_assoc list -> io_time option
 val output_time : Syntax.property_assoc list -> io_time option
 
+val scheduler_owned : string list
+(** The properties the static scheduler owns: exactly those a thread's
+    scheduler task is built from (Dispatch_Protocol, Period, Deadline,
+    Compute_Execution_Time, Dispatch_Offset, Priority). Everything else
+    the translation generates is a function of the model without them,
+    which is what lets a timing edit reuse it. *)
+
+val is_scheduler_owned : string -> bool
+(** [is_scheduler_owned name]: [name] ({!name_eq}) is one of
+    {!scheduler_owned}. *)
+
 val processor_bindings :
   Syntax.property_assoc list -> (string * string) list
 (** [Actual_Processor_Binding => reference(cpu) applies to part]

@@ -173,6 +173,7 @@ type package = {
   pkg_name : string;
   pkg_imports : string list;
   pkg_decls : declaration list;
+  pkg_shape : string;
 }
 
 (* Erase every source location, e.g. to compare two parses of the same
@@ -214,7 +215,7 @@ let strip_locs pkg =
           ci_properties = List.map pa ci.ci_properties;
           ci_loc = no_loc }
   in
-  { pkg with pkg_decls = List.map decl pkg.pkg_decls }
+  { pkg with pkg_decls = List.map decl pkg.pkg_decls; pkg_shape = "" }
 
 let impl_base_name name =
   match String.index_opt name '.' with

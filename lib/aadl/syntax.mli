@@ -156,11 +156,16 @@ type package = {
   pkg_name : string;
   pkg_imports : string list;          (** [with] clauses *)
   pkg_decls : declaration list;
+  pkg_shape : string;
+      (** digest of the package without its scheduler-owned property
+          associations ({!Props.scheduler_owned}), locations included;
+          taken once by the parser ({!Parser.shape_digest}) *)
 }
 
 val strip_locs : package -> package
-(** Erase every source location ({!no_loc} everywhere), e.g. to
-    compare two parses structurally (printer round-trips). *)
+(** Erase every source location ({!no_loc} everywhere) and the shape
+    digest that covers them, e.g. to compare two parses structurally
+    (printer round-trips). *)
 
 val impl_base_name : string -> string
 (** ["prProdCons.impl"] → ["prProdCons"]. *)

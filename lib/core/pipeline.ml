@@ -128,8 +128,9 @@ type memos = {
    but perfbench's edit-session pins their traffic (one run on every
    reopen and every new source), so storing them waits for a benchmark
    change. The parse tag names its value type: [stage.parse] entries
-   held the bare packages and must never be read as packages paired
-   with issues. *)
+   held the bare packages and [stage.parse.checked] ones packages
+   without their shape digest ([pkg_shape]); neither may be read as
+   the current value, shaped packages paired with their issues. *)
 let memos store =
   let tagged tag = Option.map (fun s -> (s, tag)) store in
   (* name-keyed, so at most one entry per stage or process *)
@@ -137,7 +138,7 @@ let memos store =
   let whole name units =
     memo name (Memo.Stage units) (tagged ("stage." ^ name))
   in
-  { parse = memo "parse" (Memo.Stage None) (tagged "stage.parse.checked");
+  { parse = memo "parse" (Memo.Stage None) (tagged "stage.parse.shaped");
     instance = memo "instantiate" (Memo.Stage None) None;
     translate = memo "translate" (Memo.Stage None) None;
     typecheck =
@@ -604,7 +605,8 @@ let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
       (Digest.string (Option.value ~default:"" file ^ "\x00" ^ src))
   in
   (* legality is a function of the packages, so it rides in the parse
-     value and a parse hit replays it *)
+     value and a parse hit replays it, as it does each package's shape
+     digest (the parser's) *)
   let* checked =
     Memo.find m.parse ~name:"parse" ~key:src_key (fun () ->
         Result.map

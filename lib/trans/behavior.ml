@@ -28,6 +28,7 @@ type registry = { reg_id : string; reg_entries : (string * t) list }
 let make ~id entries = { reg_id = id; reg_entries = entries }
 let empty = make ~id:"empty" []
 let id reg = reg.reg_id
+let with_id ~id reg = { reg with reg_id = id }
 
 let find reg name =
   let low = String.lowercase_ascii name in

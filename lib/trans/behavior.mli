@@ -36,7 +36,10 @@ type ctx = {
   modes : string list;
       (** declared mode names, declaration order; [] when modeless *)
   props : Aadl.Syntax.property_assoc list;
-      (** the thread's merged properties *)
+      (** the thread's merged properties, less the scheduler-owned
+          ones ({!Aadl.Props.scheduler_owned}): a behaviour cannot
+          depend on the thread's timing, so a timing edit never
+          regenerates a thread model *)
   in_ports : string list;
   out_ports : string list;
   read_accesses : string list;
@@ -60,6 +63,10 @@ val empty : registry
 (** No entries; id ["empty"]. *)
 
 val id : registry -> string
+
+val with_id : id:string -> registry -> registry
+(** The same behaviours under another id, e.g. to translate without
+    reusing anything cached under the old one. *)
 
 val find : registry -> string -> t option
 

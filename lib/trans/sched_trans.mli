@@ -23,3 +23,7 @@ val translate :
 val output_names : prefix:string -> string list
 (** The four event outputs generated for one task, in declaration
     order: dispatch, start, complete, deadline. *)
+
+val task_names : Sched.Static_sched.schedule -> string list
+(** The tasks [translate] generates events for: those with a job in
+    the schedule, in [String.compare] order. *)

@@ -58,9 +58,26 @@ type output = {
           order; empty in Embedded mode *)
   process_digests : string list;
       (** {!Signal_lang.Ast.process_digest} of each process of
-          [program], in order: thread models' digests come from their
-          memoized translation, the others are taken once here *)
+          [program], in order: the thread models' and the top
+          process's are taken once per structure build (see below),
+          the scheduler models' once per translation *)
 }
+
+(** {1 Translation}
+
+    A translation splits at the schedule. The {e schedule half} runs
+    every time: task extraction, thread placement (including
+    {!Sched.Alloc}'s), schedule synthesis, the Embedded scheduler
+    processes and the External [ctl_inputs]. The {e structure} —
+    thread models, top process, traceability map and their digests —
+    is a pure function of the instance without its scheduler-owned
+    properties ({!Aadl.Props.scheduler_owned}; behaviours never see
+    them), the registry id, the mode, the placement and the tasks each
+    processor schedules or stubs. It is memoized process-wide under
+    exactly those inputs (the instance through its [shape] digest),
+    counted as [trans.structure.cache_hits]/[cache_misses], and never
+    mutated once built; so a timing edit that keeps the placement and
+    the feasible processors translates only the schedule. *)
 
 val translate :
   ?registry:Behavior.registry ->
@@ -90,6 +107,12 @@ val translate_diag :
     [None] is returned only for fatal defects ([TRANS-004], allocation
     failure, or a behaviour/mode defect raised by {!Thread_trans}).
     [file] names the AADL source in diagnostic spans. *)
+
+val reset_cache : unit -> unit
+(** Drop every cached structure: the next translation of any model
+    rebuilds its thread models and top process (a full rebuild to
+    compare an incremental run against). Outputs already returned stay
+    valid. *)
 
 val sanitize : string -> string
 (** Instance path as a SIGNAL identifier fragment (dots to

@@ -99,7 +99,7 @@ let write_accesses inst =
       | Syn.Read_only -> None)
     (accesses inst)
 
-let translate_uncached ~registry inst =
+let build ~registry inst =
   if inst.Inst.i_category <> Syn.Thread then
     invalid_arg "Thread_trans.translate: not a thread instance";
   let ins = in_ports inst and outs = out_ports inst in
@@ -275,7 +275,13 @@ let translate_uncached ~registry inst =
           if has_modes then B.(v mode_at_start = i (mode_idx m))
           else B.b true);
       modes = List.map (fun m -> m.Syn.m_name) modes;
-      props = inst.Inst.i_props;
+      (* the scheduler owns the timing properties: a behaviour that
+         could read them would make the thread model depend on a
+         timing edit *)
+      props =
+        List.filter
+          (fun pa -> not (Aadl.Props.is_scheduler_owned pa.Syn.pname))
+          inst.Inst.i_props;
       in_ports = List.map (fun (p, _, _) -> p) ins;
       out_ports = List.map (fun (p, _, _) -> p) outs;
       read_accesses = reads;
@@ -369,32 +375,9 @@ let translate_uncached ~registry inst =
       [ ("aadl", inst.Inst.i_path);
         ("aadl_classifier", inst.Inst.i_classifier) ] }
 
-(* ------------------------------------------------------------------ *)
-(* Per-process memoization                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* [translate] is a pure function of the thread instance subtree and
-   the behaviour registry (closures — keyed by the registry's stable
-   id, see {!Behavior.make}), so its result is memoized per process:
-   re-translating a system after editing one thread reruns exactly
-   that thread's translation. Only successes are cached ([Trans_diag]
-   defects are cheap to rediscover and must not be masked). The memo
-   holds its lock across the translation, so concurrent domains
-   translate each thread once. The process's digest is taken here,
-   once per translation, and replayed with it: the pipeline keys its
-   back end on it. *)
-let memo : (Ast.process * string) Putil.Memo.t =
-  Putil.Memo.create ~stage:"translate" Putil.Memo.Unit ~cap:512 ~store:None
-
 let translate ~registry inst =
   Putil.Tracing.with_span "trans.thread"
     ~args:[ ("thread", Putil.Tracing.Astr inst.Inst.i_path) ]
   @@ fun () ->
-  let key =
-    Digest.string
-      (Behavior.id registry ^ "\x00"
-      ^ Marshal.to_string inst [ Marshal.No_sharing ])
-  in
-  Putil.Memo.get memo ~name:key ~key (fun () ->
-      let p = translate_uncached ~registry inst in
-      (p, Ast.process_digest p))
+  let p = build ~registry inst in
+  (p, Ast.process_digest p)

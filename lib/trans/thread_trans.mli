@@ -27,8 +27,10 @@ val translate :
   registry:Behavior.registry ->
   Aadl.Instance.instance ->
   Signal_lang.Ast.process * string
-(** The thread's process and its {!Signal_lang.Ast.process_digest},
-    taken once when the thread is translated and memoized with it.
+(** The thread's process and its {!Signal_lang.Ast.process_digest}.
+    The process is a function of the thread instance without its
+    scheduler-owned properties: the behaviour's [ctx.props] omits them
+    ({!Aadl.Props.scheduler_owned}).
     @raise Invalid_argument if the instance is not a thread.
     @raise Trans_diag on a model-level defect (see above). *)
 

@@ -436,10 +436,11 @@ let test_legality_replayed_with_parse () =
 
 (* Minor words one warm timing edit may allocate: a store-backed
    External session on the case study, back to a source the store has
-   seen. The edit reads the parse entry, instantiates, translates
-   (every thread a memo hit) and replays the back end from the session.
-   The bound holds while no stage key marshals a model. *)
-let warm_edit_minor_words_bound = 20_000.
+   seen. The edit reads the parse entry, instantiates, runs the
+   schedule half of the translation (the structure is a memo hit) and
+   replays the back end from the session. The bound holds while no
+   stage key marshals a model and the structure is not rebuilt. *)
+let warm_edit_minor_words_bound = 12_000.
 
 let test_warm_edit_allocation () =
   with_temp_store (fun store _ ->
@@ -461,6 +462,43 @@ let test_warm_edit_allocation () =
       if words > warm_edit_minor_words_bound then
         Alcotest.failf "a warm timing edit allocated %.0f minor words (bound %.0f)"
           words warm_edit_minor_words_bound)
+
+(* A warm timing edit translates only the schedule: the timing-free
+   structure (thread models, top process) is one memo hit, so no
+   thread is translated. *)
+let test_warm_edit_replays_structure () =
+  let session = P.new_session () in
+  let seen = CS.aadl_source and edited = edited_source () in
+  let _ = analyze_ok ~session seen in
+  let _ = analyze_ok ~session edited in
+  let hits0 = counter "trans.structure.cache_hits" in
+  let misses0 = counter "trans.structure.cache_misses" in
+  Putil.Tracing.reset ();
+  Putil.Tracing.set_enabled true;
+  let _ =
+    Fun.protect
+      ~finally:(fun () -> Putil.Tracing.set_enabled false)
+      (fun () -> analyze_ok ~session seen)
+  in
+  let spans name =
+    List.fold_left
+      (fun n (_, evs) ->
+        List.fold_left
+          (fun n -> function
+            | Putil.Tracing.Begin { name = nm; _ } when String.equal nm name ->
+              n + 1
+            | _ -> n)
+          n evs)
+      0 (Putil.Tracing.events ())
+  in
+  let translations = spans "trans.system" and threads = spans "trans.thread" in
+  Putil.Tracing.reset ();
+  Alcotest.(check int) "the edit translates" 1 translations;
+  Alcotest.(check int) "no thread translated" 0 threads;
+  Alcotest.(check int) "one structure-memo hit" 1
+    (counter "trans.structure.cache_hits" - hits0);
+  Alcotest.(check int) "no structure built" 0
+    (counter "trans.structure.cache_misses" - misses0)
 
 let test_external_ctl_inputs () =
   let a = analyze_ok ~mode:ST.External CS.aadl_source in
@@ -643,5 +681,7 @@ let suite =
         Alcotest.test_case "legality replayed with the parse" `Quick
           test_legality_replayed_with_parse;
         Alcotest.test_case "warm timing edit allocation bound" `Quick
-          test_warm_edit_allocation ]
+          test_warm_edit_allocation;
+        Alcotest.test_case "warm timing edit replays the structure" `Quick
+          test_warm_edit_replays_structure ]
       @ qsuite ) ]

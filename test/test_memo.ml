@@ -140,27 +140,26 @@ let test_cap_resets_when_full () =
   ignore (look "a");
   Alcotest.(check int) "clear drops everything" 3 (runs_of "a")
 
-(* Four domains translate the threads of one instance at once: each
-   thread is translated exactly once. A registry id no other test uses
-   keeps every key fresh. *)
+(* Four domains translate one instance at once: its timing-free
+   structure (thread models, top process) is built exactly once and
+   the other three replay it. A registry id no other test uses keeps
+   the key fresh. *)
 let test_translate_once_across_domains () =
   let instance = Polychrony.Case_study.instance () in
-  let threads = Aadl.Instance.threads instance in
   let registry = Trans.Behavior.make ~id:"memo-test-race" [] in
-  let ran0 = counter "incr.translate.proc_ran" in
-  let skipped0 = counter "incr.translate.proc_skipped" in
+  let misses0 = counter "trans.structure.cache_misses" in
+  let hits0 = counter "trans.structure.cache_hits" in
   let workers = 4 in
   Putil.Domain_pool.with_pool workers (fun pool ->
       Putil.Domain_pool.run_tasks pool
         (List.init workers (fun _ () ->
-             List.iter
-               (fun th -> ignore (Trans.Thread_trans.translate ~registry th))
-               threads)));
-  let n = List.length threads in
-  Alcotest.(check int) "one translation per distinct thread" n
-    (counter "incr.translate.proc_ran" - ran0);
-  Alcotest.(check int) "every other request replayed" ((workers - 1) * n)
-    (counter "incr.translate.proc_skipped" - skipped0)
+             match Trans.System_trans.translate_diag ~registry instance with
+             | Some _, _ -> ()
+             | None, ds -> failwith (Putil.Diag.list_to_string ds))));
+  Alcotest.(check int) "one structure built" 1
+    (counter "trans.structure.cache_misses" - misses0);
+  Alcotest.(check int) "every other request replayed" (workers - 1)
+    (counter "trans.structure.cache_hits" - hits0)
 
 let suite =
   [ ( "memo",

@@ -268,7 +268,7 @@ let test_chrome_case_study () =
    structure and logical-time lanes, with memoized stages (their spans
    only appear on cache misses, which depend on what ran before in the
    test binary) and cache-sized instants dropped. *)
-let skip_spans = [ "clocks.calculus"; "compile.plan" ]
+let skip_spans = [ "clocks.calculus"; "compile.plan"; "trans.thread" ]
 
 let canonical_args args =
   match args with

@@ -221,6 +221,246 @@ let test_task_extraction () =
     Alcotest.(check int) "wcet" 1000 task.Sched.Task.wcet_us
   | Error m -> Alcotest.fail m
 
+(* ------------------------------------------------------------------ *)
+(* The timing-free structure                                          *)
+(* ------------------------------------------------------------------ *)
+
+module CS = Polychrony.Case_study
+
+let counter name = Putil.Metrics.counter_value Putil.Metrics.global name
+
+let replace_once ~sub ~by s =
+  let n = String.length s and m = String.length sub in
+  let rec find i =
+    if i + m > n then Alcotest.failf "%S not in the model" sub
+    else if String.sub s i m = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + m) (n - i - m)
+
+let instance_of ?(root = CS.root) src =
+  match Aadl.Parser.parse_packages_diag src with
+  | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+  | Ok [] -> Alcotest.fail "no package"
+  | Ok (pkg :: context) -> (
+    match Inst.instantiate_diag ~context pkg ~root with
+    | Ok t -> t
+    | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds))
+
+(* everything a translation hands on, as text *)
+let render (out, diags) =
+  let body =
+    match out with
+    | None -> "no output"
+    | Some o ->
+      let lines f l = String.concat "\n" (List.map f l) in
+      String.concat "\n"
+        [ Format.asprintf "%a" Signal_lang.Pp.pp_program o.ST.program;
+          lines Digest.to_hex o.ST.process_digests;
+          lines
+            (fun (cpu, s) -> Format.asprintf "%s:@.%a" cpu S.pp_schedule s)
+            o.ST.schedules;
+          lines
+            (fun (cpu, tasks) ->
+              cpu ^ ": "
+              ^ String.concat " "
+                  (List.map (fun t -> t.Sched.Task.t_name) tasks))
+            o.ST.tasks;
+          lines
+            (fun (n, cs) ->
+              Printf.sprintf "%s %s %d [%s]" n cs.ST.cs_cpu cs.ST.cs_horizon
+                (String.concat ";" (List.map string_of_int cs.ST.cs_ticks)))
+            o.ST.ctl_inputs;
+          lines (fun (a, sg) -> a ^ " -> " ^ sg)
+            (Trans.Traceability.entries o.ST.trace);
+          String.concat " " o.ST.tick_inputs;
+          String.concat " " o.ST.env_inputs;
+          String.concat " " o.ST.env_outputs ]
+  in
+  body ^ "\n" ^ String.concat "\n" (List.map Putil.Diag.to_string diags)
+
+let has_code code (_, diags) =
+  List.exists (fun d -> String.equal d.Putil.Diag.code code) diags
+
+let placement (out, _) =
+  match out with
+  | Some o ->
+    List.map
+      (fun (cpu, tasks) -> (cpu, List.map (fun t -> t.Sched.Task.t_name) tasks))
+      o.ST.tasks
+  | None -> []
+
+(* Two unbound processors: worst-fit decreasing places [a] (40%) alone
+   and [b] (30%) with [c] (20%); growing [c]'s WCET to 50% makes it the
+   first task placed, which moves every thread. *)
+let two_cpu_model =
+  {|package TwoCpu public
+    thread worker
+      properties Dispatch_Protocol => Periodic; Period => 10 ms;
+    end worker;
+    thread implementation worker.impl end worker.impl;
+    process host end host;
+    process implementation host.impl
+      subcomponents
+        a: thread worker.impl {Compute_Execution_Time => 4 ms;};
+        b: thread worker.impl {Compute_Execution_Time => 3 ms;};
+        c: thread worker.impl {Compute_Execution_Time => 2 ms;};
+    end host.impl;
+    processor core end core;
+    processor implementation core.impl end core.impl;
+    system rig end rig;
+    system implementation rig.impl
+      subcomponents
+        h: process host.impl;
+        cpu0: processor core.impl;
+        cpu1: processor core.impl;
+    end rig.impl;
+    end TwoCpu;|}
+
+type outcome = Replay | Rebuild
+
+(* The structure memo is sound: for each edit, the translation that
+   may reuse a cached structure equals one built with nothing cached
+   (the same behaviours under a fresh registry id), and exactly the
+   edits that keep the structure's inputs replay it. *)
+let test_structure_oracle () =
+  let fresh = ref 0 in
+  let oracle_registry registry =
+    incr fresh;
+    Trans.Behavior.with_id ~id:(Printf.sprintf "oracle-fresh-%d" !fresh) registry
+  in
+  let check_model ~name ~root ~registry src edits =
+    let memo_registry =
+      Trans.Behavior.with_id ~id:("oracle-memo:" ^ name) registry
+    in
+    let base = instance_of ~root src in
+    List.iter
+      (fun mode ->
+        let translate registry inst = ST.translate_diag ~registry ~mode inst in
+        List.iter
+          (fun (label, edited_src, expect, check) ->
+            let label =
+              Printf.sprintf "%s %s, %s" name
+                (match mode with ST.Embedded -> "embedded" | ST.External -> "external")
+                label
+            in
+            let edited = instance_of ~root edited_src in
+            let before = translate memo_registry base in
+            let m0 = counter "trans.structure.cache_misses" in
+            let got = translate memo_registry edited in
+            let built = counter "trans.structure.cache_misses" - m0 in
+            let want = translate (oracle_registry registry) edited in
+            Alcotest.(check string) (label ^ ": equals a build from nothing")
+              (render want) (render got);
+            Alcotest.(check int) (label ^ ": structures built")
+              (match expect with Replay -> 0 | Rebuild -> 1)
+              built;
+            check label before got)
+          edits)
+      [ ST.Embedded; ST.External ]
+  in
+  let feasible label _ got =
+    Alcotest.(check bool) (label ^ ": no error") false
+      (Putil.Diag.has_errors (snd got))
+  in
+  let stubbed label _ got =
+    Alcotest.(check bool) (label ^ ": a processor is stubbed") true
+      (has_code "SCHED-INFEAS-001" got)
+  in
+  let moved label before got =
+    Alcotest.(check bool) (label ^ ": placement moved") true
+      (placement before <> placement got);
+    feasible label before got
+  in
+  let any _ _ _ = () in
+  let models =
+    [ ("case study", CS.aadl_source, "1 ms", "2 ms");
+      ("producer_consumer.aadl",
+       Test_data.read "../examples/producer_consumer.aadl", "1 ms", "2 ms");
+      ("3 replicas", Test_data.read "../examples/prodcons_replicas3.aadl",
+       "300 us", "600 us");
+      ("4 on 4", Test_data.read "../examples/prodcons_4on4.aadl", "300 us",
+       "600 us") ]
+  in
+  List.iter
+    (fun (name, src, wcet, wcet_ok) ->
+      let edit sub by = replace_once ~sub ~by src in
+      let wcet_edit v =
+        edit
+          ("Compute_Execution_Time => " ^ wcet ^ ";")
+          ("Compute_Execution_Time => " ^ v ^ ";")
+      in
+      check_model ~name ~root:CS.root ~registry:CS.registry_nominal src
+        [ ("period", edit "Period => 4 ms;" "Period => 8 ms;", Replay, feasible);
+          ("deadline", edit "Deadline => 6 ms;" "Deadline => 5 ms;", Replay,
+           feasible);
+          ("wcet", wcet_edit wcet_ok, Replay, feasible);
+          ("infeasible wcet", wcet_edit "4 ms", Rebuild, stubbed);
+          ("queue size", edit "Queue_Size => 2;" "Queue_Size => 3;", Rebuild,
+           feasible);
+          ("timer duration", edit "Timer_Duration => 3;" "Timer_Duration => 4;",
+           Rebuild, feasible);
+          ("connection",
+           edit "-> thProdTimer.pStopTimer;" "->> thProdTimer.pStopTimer;",
+           Rebuild, any) ])
+    models;
+  check_model ~name:"two processors" ~root:"rig.impl"
+    ~registry:Trans.Behavior.empty two_cpu_model
+    [ ("wcet within placement",
+       replace_once ~sub:"Compute_Execution_Time => 2 ms;"
+         ~by:"Compute_Execution_Time => 1 ms;" two_cpu_model,
+       Replay, feasible);
+      ("wcet moving placement",
+       replace_once ~sub:"Compute_Execution_Time => 2 ms;"
+         ~by:"Compute_Execution_Time => 5 ms;" two_cpu_model,
+       Rebuild, moved) ]
+
+(* Behaviours never see the scheduler-owned properties, so a thread
+   model cannot depend on a timing edit; other properties still
+   reach them. *)
+let test_behavior_props_timing_free () =
+  let seen = ref [] in
+  let probe (ctx : Trans.Behavior.ctx) =
+    seen := ctx.Trans.Behavior.props :: !seen;
+    Trans.Behavior.default ctx
+  in
+  let registry = Trans.Behavior.make ~id:"props-probe" [ ("thTimer", probe) ] in
+  (match ST.translate ~registry (case ()) with
+   | Ok _ -> ()
+   | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "both timers probed" 2 (List.length !seen);
+  List.iter
+    (fun props ->
+      List.iter
+        (fun p ->
+          Alcotest.(check bool) (p ^ " hidden") true
+            (Aadl.Props.find p props = None))
+        Aadl.Props.scheduler_owned;
+      Alcotest.(check bool) "Timer_Duration reads 3" true
+        (Aadl.Props.find "Timer_Duration" props
+         = Some (Syn.Pint (3, None))))
+    !seen
+
+(* Each (path, signal) pair is traced once, however many connections
+   read an environment port. *)
+let test_traceability_no_repeats () =
+  List.iter
+    (fun (name, src) ->
+      let inst = instance_of src in
+      List.iter
+        (fun mode ->
+          match ST.translate_diag ~registry:CS.registry_nominal ~mode inst with
+          | None, ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+          | Some o, _ ->
+            let entries = Trans.Traceability.entries o.ST.trace in
+            Alcotest.(check int) (name ^ ": no repeated entry")
+              (List.length entries)
+              (List.length (List.sort_uniq compare entries)))
+        [ ST.Embedded; ST.External ])
+    [ ("case study", CS.aadl_source);
+      ("3 replicas", Test_data.read "../examples/prodcons_replicas3.aadl") ]
+
 let suite =
   [ ("trans.thread",
      [ Alcotest.test_case "interface (Fig. 4)" `Quick test_thread_interface;
@@ -243,4 +483,11 @@ let suite =
        Alcotest.test_case "scheduler process" `Quick
          test_scheduler_process_shape;
        Alcotest.test_case "policy choice" `Quick test_policy_affects_schedule;
-       Alcotest.test_case "missing period" `Quick test_missing_period_fails ]) ]
+       Alcotest.test_case "missing period" `Quick test_missing_period_fails ]);
+    ("trans.structure",
+     [ Alcotest.test_case "memo equals a build from nothing" `Quick
+         test_structure_oracle;
+       Alcotest.test_case "behaviours see no timing property" `Quick
+         test_behavior_props_timing_free;
+       Alcotest.test_case "traceability entries not repeated" `Quick
+         test_traceability_no_repeats ]) ]
