@@ -39,12 +39,21 @@ let rec same_from a i b j n =
 
 (* [base_name a] and [base_name b] equal up to ASCII case, compared in
    place: property lookups run it per association, so it allocates
-   nothing (no substring, no lowered copy, no closure) *)
+   nothing (no substring, no lowered copy, no closure). A base name
+   ends where its name does and is empty only for the empty name, so
+   most pairs are told apart on their last character before either
+   base name is located. *)
 let name_eq a b =
-  let i = base_start a (String.length a - 1)
-  and j = base_start b (String.length b - 1) in
-  let n = String.length a - i in
-  n = String.length b - j && same_from a i b j n
+  let la = String.length a and lb = String.length b in
+  if la = 0 || lb = 0 then la = lb
+  else
+    Char.equal
+      (Char.lowercase_ascii (String.unsafe_get a (la - 1)))
+      (Char.lowercase_ascii (String.unsafe_get b (lb - 1)))
+    &&
+    let i = base_start a (la - 1) and j = base_start b (lb - 1) in
+    let n = la - i in
+    n = lb - j && same_from a i b j n
 
 let find name assocs =
   List.fold_left

@@ -72,13 +72,17 @@ type analyzed = {
    everything downstream. The [incr.<stage>.ran] / [.skipped] metrics
    count the traffic.
 
-   Every stage and every per-process unit is a {!Putil.Memo} entry
-   under its name (latest run wins): the session serves the
-   edit-recheck loop, not a multi-model build system. The whole-stage
-   memos short-circuit the unchanged-program case in one digest
-   comparison, so per-process traffic only happens when the generated
-   program actually changed. The behaviour [registry] is assumed
-   stable across one session (closures cannot be digested). *)
+   Every front-end stage, the typecheck stage and every per-process
+   unit is a {!Putil.Memo} entry under its name (latest run wins): the
+   session serves the edit-recheck loop, not a multi-model build
+   system. The normalize and analyses stages keep a window of up to
+   [window] programs instead (the key is the name), so an edit loop
+   that toggles between two behaviours replays them from memory
+   rather than from the store. The whole-stage memos short-circuit the
+   unchanged-program case in one digest comparison, so per-process
+   traffic only happens when the generated program actually changed.
+   The behaviour [registry] is assumed stable across one session
+   (closures cannot be digested). *)
 
 module Memo = Putil.Memo
 
@@ -86,12 +90,15 @@ type typechecked =
   Signal_lang.Typecheck.error list
   * Signal_lang.Ast.typed Signal_lang.Ast.gprocess
 
+(* The model kernels are not in the value: the [kernels] unit memo
+   (and its store) holds them, and only an analyses miss needs them. *)
 type normalized = {
   n_kernel : K.kprocess;  (* fully linked top kernel *)
   n_glue : K.kprocess;
   n_links : Signal_lang.Normalize.link list;
-  n_models : (string * K.kprocess) list;  (* precomputed model kernels *)
-  n_profile : Analysis.Profiling.report;  (* static costs of [n_kernel] *)
+  n_units : int;  (* model kernels linked in *)
+  n_static_total : int;  (* the static-cost profile's two gauges *)
+  n_static_signals : int;
   n_kdigest : string;  (* [K.digest n_kernel], computed once *)
 }
 
@@ -127,10 +134,19 @@ type memos = {
    Instantiate and translate have no tag: their values are plain data,
    but perfbench's edit-session pins their traffic (one run on every
    reopen and every new source), so storing them waits for a benchmark
-   change. The parse tag names its value type: [stage.parse] entries
-   held the bare packages and [stage.parse.checked] ones packages
-   without their shape digest ([pkg_shape]); neither may be read as
-   the current value, shaped packages paired with their issues. *)
+   change. A tag names its value type: [stage.parse] entries held the
+   bare packages and [stage.parse.checked] ones packages without their
+   shape digest ([pkg_shape]); neither may be read as the current
+   value, shaped packages paired with their issues. Likewise
+   [stage.normalize] entries carried the model kernels and the whole
+   profile; [stage.normalize.lean] ones carry neither. *)
+
+(* The normalize and analyses windows hold two programs: an edit loop
+   that toggles one behaviour (perfbench's edit-session) cycles
+   through exactly two. A full window is reset, like every capped
+   memo. *)
+let window = 2
+
 let memos store =
   let tagged tag = Option.map (fun s -> (s, tag)) store in
   (* name-keyed, so at most one entry per stage or process *)
@@ -138,17 +154,23 @@ let memos store =
   let whole name units =
     memo name (Memo.Stage units) (tagged ("stage." ^ name))
   in
+  (* content-keyed: at most [window] values of the stage *)
+  let windowed name tag units =
+    Memo.create ~stage:name (Memo.Stage (Some units)) ~cap:window
+      ~store:(tagged tag)
+  in
   { parse = memo "parse" (Memo.Stage None) (tagged "stage.parse.shaped");
     instance = memo "instantiate" (Memo.Stage None) None;
     translate = memo "translate" (Memo.Stage None) None;
     typecheck =
       whole "typecheck" (Some (fun (_, tp) -> List.length tp.Ast.processes));
     tc_procs = memo "typecheck" Memo.Unit (tagged "typecheck.proc");
-    normalize = whole "normalize" (Some (fun n -> List.length n.n_models));
+    normalize =
+      windowed "normalize" "stage.normalize.lean" (fun n -> n.n_units);
     kernels = memo "normalize" Memo.Unit (tagged "normalize.proc");
     analyses =
-      whole "analyses"
-        (Some (fun an -> List.length an.a_procs + 1 (* glue *)));
+      windowed "analyses" "stage.analyses" (fun an ->
+          List.length an.a_procs + 1 (* glue *));
     panas = memo "analyses" Memo.Unit (tagged "analysis.proc");
     glue = memo "analyses" Memo.Unit (tagged "analysis.glue") }
 
@@ -700,12 +722,23 @@ let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
         (List.map
            (diag_of_type_error ?file ~translation ~instance)
            typecheck_errors);
-      match
-        Memo.find m.normalize ~name:"normalize"
-          ~key:(program_key ^ ":" ^ top.Ast.proc_name)
+      (* each model is normalized once, keyed on its dependency
+         closure *)
+      let proc_digest =
+        let by_proc = List.combine program.Ast.processes digests in
+        fun p -> List.assq p by_proc
+      in
+      let kernel_key model = model_key program proc_digest model in
+      let model_kernel model =
+        Memo.get m.kernels ~name:model.Ast.proc_name ~key:(kernel_key model)
           (fun () ->
-            (* normalize each model once, keyed on its dependency
-               closure, then link the cached kernels into the host *)
+            Result.to_option (Signal_lang.Normalize.process ~program model))
+      in
+      let normalize_key = program_key ^ ":" ^ top.Ast.proc_name in
+      match
+        Memo.find m.normalize ~name:normalize_key ~key:normalize_key
+          (fun () ->
+            (* link the cached model kernels into the host *)
             let models =
               List.filter
                 (fun p ->
@@ -713,36 +746,29 @@ let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
                   && p.Ast.params = [])
                 program.Ast.processes
             in
-            let proc_digest =
-              let by_proc = List.combine program.Ast.processes digests in
-              fun p -> List.assq p by_proc
-            in
             let precomputed =
               List.filter_map
                 (fun model ->
                   Option.map
                     (fun k -> (model.Ast.proc_name, k))
-                    (Memo.get m.kernels ~name:model.Ast.proc_name
-                       ~key:(model_key program proc_digest model)
-                       (fun () ->
-                         Result.to_option
-                           (Signal_lang.Normalize.process ~program model))))
+                    (model_kernel model))
                 models
             in
             Result.map
               (fun (lk : Signal_lang.Normalize.linked) ->
-                { n_kernel = lk.Signal_lang.Normalize.lk_kernel;
+                let kernel = lk.Signal_lang.Normalize.lk_kernel in
+                (* the profile gauges and the kernel digest ride in the
+                   stage value so replays (window or store) never
+                   recompute them *)
+                let profile = Analysis.Profiling.static_costs kernel in
+                { n_kernel = kernel;
                   n_glue = lk.Signal_lang.Normalize.lk_glue;
                   n_links = lk.Signal_lang.Normalize.lk_links;
-                  n_models = precomputed;
-                  (* the profile and the kernel digest ride in the
-                     stage value so replays (slot or store) never
-                     recompute them *)
-                  n_profile =
-                    Analysis.Profiling.static_costs
-                      lk.Signal_lang.Normalize.lk_kernel;
-                  n_kdigest =
-                    K.digest lk.Signal_lang.Normalize.lk_kernel })
+                  n_units = List.length precomputed;
+                  n_static_total = profile.Analysis.Profiling.total_static;
+                  n_static_signals =
+                    List.length profile.Analysis.Profiling.per_signal;
+                  n_kdigest = K.digest kernel })
               (Signal_lang.Normalize.process_linked ~program ~precomputed
                  top))
       with
@@ -750,15 +776,30 @@ let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
         Putil.Diag.add diags d;
         fail ()
       | Ok n ->
-          let kernel = n.n_kernel in
-        Putil.Metrics.set m_profile_total
-          n.n_profile.Analysis.Profiling.total_static;
-        Putil.Metrics.set m_profile_signals
-          (List.length n.n_profile.Analysis.Profiling.per_signal);
+        let kernel = n.n_kernel in
+        Putil.Metrics.set m_profile_total n.n_static_total;
+        Putil.Metrics.set m_profile_signals n.n_static_signals;
         let stubbed = Putil.Diag.has_errors tdiags in
+        (* A model's kernel, for an analyses miss: from the kernels
+           memo, which a normalize run has just filled and a replayed
+           one has already counted, so it is read without counting;
+           only a kernel gone from both the session and the store is
+           normalized again. *)
+        let kernel_of name =
+          match
+            List.find_opt
+              (fun p -> String.equal p.Ast.proc_name name)
+              program.Ast.processes
+          with
+          | None -> None
+          | Some model -> (
+            match Memo.peek m.kernels ~name ~key:(kernel_key model) with
+            | Some k -> k
+            | None -> model_kernel model)
+        in
         let an =
-          Memo.get m.analyses ~name:"analyses"
-            ~key:(n.n_kdigest ^ if stubbed then ":stub" else "")
+          let key = n.n_kdigest ^ if stubbed then ":stub" else "" in
+          Memo.get m.analyses ~name:key ~key
             (fun () ->
               let model_names =
                 List.sort_uniq compare
@@ -776,7 +817,7 @@ let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
                         ( name,
                           Memo.get m.panas ~name ~key:digest
                             (fun () -> proc_analysis_of ~digest km) ))
-                      (List.assoc_opt name n.n_models))
+                      (kernel_of name))
                   model_names
               in
               let glue', extra_edges =
@@ -790,7 +831,7 @@ let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
               in
               merge_analyses ~stubbed n.n_links pas ga)
         in
-          Putil.Diag.add_list diags an.a_diags;
+        Putil.Diag.add_list diags an.a_diags;
         (* bound outside the lazy, which must not capture [n] *)
         let kernel_digest = n.n_kdigest in
         let calc =

@@ -194,21 +194,32 @@ type event =
   | Output_release
   | Deadline
 
+let event_time j = function
+  | Dispatch | Input_frozen -> j.dispatch_us
+  | Start -> j.start_us
+  | Complete | Output_release -> j.complete_us
+  | Deadline -> j.deadline_abs_us
+
 let event_times s name ev =
   List.filter_map
     (fun j ->
-      if String.equal j.j_task.Task.t_name name then
-        Some
-          (match ev with
-           | Dispatch -> j.dispatch_us
-           | Input_frozen -> j.dispatch_us
-           | Start -> j.start_us
-           | Complete -> j.complete_us
-           | Output_release -> j.complete_us
-           | Deadline -> j.deadline_abs_us)
+      if String.equal j.j_task.Task.t_name name then Some (event_time j ev)
       else None)
     s.jobs
   |> List.sort compare
+
+let ticks s =
+  let by_task = Hashtbl.create 8 in
+  List.iter
+    (fun j ->
+      let name = j.j_task.Task.t_name in
+      Hashtbl.replace by_task name
+        (j :: Option.value ~default:[] (Hashtbl.find_opt by_task name)))
+    s.jobs;
+  fun name ev ->
+    Option.value ~default:[] (Hashtbl.find_opt by_task name)
+    |> List.map (fun j -> event_time j ev / s.base_us)
+    |> List.sort_uniq compare
 
 let event_word s name ev =
   (* an event at exactly the hyper-period boundary belongs to the NEXT

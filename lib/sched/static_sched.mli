@@ -63,6 +63,12 @@ val event_times : schedule -> string -> event -> int list
     hyper-period, ascending. Input_frozen = dispatch and
     Output_release = complete under the default AADL timing model. *)
 
+val ticks : schedule -> string -> event -> int list
+(** [ticks s name ev]: the instants of [event_times s name ev] in base
+    ticks, ascending and distinct. [ticks s] groups the jobs by task
+    in one pass; apply it once per schedule and query it per task and
+    event. *)
+
 val event_word : schedule -> string -> event -> Clocks.Pword.t
 (** The event's activation clock over base ticks as an ultimately
     periodic word (cycle = one hyper-period). *)

@@ -26,16 +26,14 @@ let translate ~name ~prefix_of (s : S.schedule) =
   emit B.(clk (v n) ^= clk (v "tick"));
   emit B.(ph := (v n - i 1) mod i horizon);
   let outputs = ref [] in
+  let ticks_of = S.ticks s in
   List.iter
     (fun tname ->
       let prefix = prefix_of tname in
       List.iter2
         (fun out ev ->
           outputs := Ast.var out Types.Tevent :: !outputs;
-          let ticks =
-            List.map (fun t -> t / s.S.base_us) (S.event_times s tname ev)
-            |> List.sort_uniq compare
-          in
+          let ticks = ticks_of tname ev in
           (* an event at absolute tick T fires at every phase T mod H;
              when T ≥ H (a deadline wrapping past the hyper-period) it
              must stay silent until the tick counter actually reaches

@@ -883,16 +883,12 @@ let translate_core ?file ~registry ~policy ~mode ~diags t =
         List.concat_map
           (fun ((cpu, s), (_, tnames)) ->
             let horizon = s.S.hyperperiod_us / s.S.base_us in
+            let ticks = S.ticks s in
             List.concat_map
               (fun tname ->
                 of_task
                   (fun ev ->
-                    { cs_cpu = cpu;
-                      cs_ticks =
-                        List.sort_uniq compare
-                          (List.map
-                             (fun t -> t / s.S.base_us)
-                             (S.event_times s tname ev));
+                    { cs_cpu = cpu; cs_ticks = ticks tname ev;
                       cs_horizon = horizon })
                   tname)
               tnames)

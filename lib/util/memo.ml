@@ -32,16 +32,22 @@ let record t ~name ~key v =
   Hashtbl.replace t.entries name (key, v);
   v
 
+let in_table t ~name ~key =
+  match Hashtbl.find_opt t.entries name with
+  | Some (k, v) when String.equal k key -> Some v
+  | _ -> None
+
+let in_store t ~key =
+  Option.bind t.store (fun (s, stage) -> Cache_store.get s ~stage ~key)
+
 let find t ~name ~key compute =
   Mutex.protect t.lock @@ fun () ->
-  match Hashtbl.find_opt t.entries name with
-  | Some (k, v) when String.equal k key ->
+  match in_table t ~name ~key with
+  | Some v ->
     count t.hit;
     Ok v
-  | _ -> (
-    match
-      Option.bind t.store (fun (s, stage) -> Cache_store.get s ~stage ~key)
-    with
+  | None -> (
+    match in_store t ~key with
     | Some v ->
       count t.hit;
       Option.iter (fun (c, units) -> count ~by:(units v) c) t.credit;
@@ -53,6 +59,12 @@ let find t ~name ~key compute =
         Option.iter (fun (s, stage) -> Cache_store.put s ~stage ~key v) t.store;
         Ok (record t ~name ~key v)
       | Error _ as e -> e))
+
+let peek t ~name ~key =
+  Mutex.protect t.lock @@ fun () ->
+  match in_table t ~name ~key with
+  | Some _ as v -> v
+  | None -> in_store t ~key
 
 let get t ~name ~key compute =
   Result.get_ok (find t ~name ~key (fun () -> Ok (compute ())))

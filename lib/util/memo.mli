@@ -9,7 +9,9 @@
     untouched.
 
     Three shapes use the one table type:
-    - a whole pipeline stage: one entry (its name is constant);
+    - a whole pipeline stage: one entry (its name is constant), or a
+      window of the last few (the key is the name, under a small
+      [cap]);
     - per-process units of a stage: one entry per process name;
     - a process-global cache: the key itself is the name, and the
       table is bounded by [cap] (see {!create}).
@@ -62,6 +64,12 @@ val find :
 
 val get : 'v t -> name:string -> key:string -> (unit -> 'v) -> 'v
 (** [find] for a computation that always succeeds (or raises). *)
+
+val peek : 'v t -> name:string -> key:string -> 'v option
+(** The value [find] would return without computing: the table's, else
+    the store's. It counts nothing and records nothing, so a caller
+    that already credited the unit (a whole-stage store replay) can
+    read it back without counting it twice. *)
 
 val clear : 'v t -> unit
 (** Drop every entry. Values already returned stay valid. *)

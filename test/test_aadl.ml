@@ -286,6 +286,30 @@ let test_name_eq () =
   Alcotest.(check bool) "trailing colon keeps the whole name" false
     (Props.name_eq "Period:" "Period")
 
+(* The same agreement on random names: bare, [::]-qualified, with a
+   trailing [:] and empty, over an alphabet small enough that equal
+   base names and shared last characters are common. *)
+let prop_name_eq =
+  let open QCheck2.Gen in
+  let word =
+    string_size ~gen:(oneofl [ 'a'; 'A'; 'b'; 'B'; '_'; ':' ]) (int_range 0 4)
+  in
+  let name =
+    oneof
+      [ word;
+        map2 (fun q w -> q ^ "::" ^ w) word word;
+        map (fun w -> w ^ ":") word;
+        pure "" ]
+  in
+  QCheck2.Test.make ~name:"name_eq agrees with lowered base names" ~count:2000
+    ~print:(fun (a, b) -> Printf.sprintf "%S %S" a b)
+    (pair name name)
+    (fun (a, b) ->
+      Props.name_eq a b
+      = String.equal
+          (String.lowercase_ascii (Props.base_name a))
+          (String.lowercase_ascii (Props.base_name b)))
+
 (* ----------------------------- instance --------------------------- *)
 
 let case_instance () = Polychrony.Case_study.instance ()
@@ -453,7 +477,8 @@ let suite =
        Alcotest.test_case "dispatch protocol" `Quick test_dispatch_protocol;
        Alcotest.test_case "processor bindings" `Quick test_processor_bindings;
        Alcotest.test_case "name_eq matches lowered base names" `Quick
-         test_name_eq ]);
+         test_name_eq;
+       QCheck_alcotest.to_alcotest prop_name_eq ]);
     ("aadl.instance",
      [ Alcotest.test_case "tree" `Quick test_instance_tree;
        Alcotest.test_case "bindings" `Quick test_instance_bindings;

@@ -22,8 +22,9 @@ module P = Polychrony.Pipeline
 module CS = Polychrony.Case_study
 module ST = Trans.System_trans
 
-let analyze_ok ?session ?(mode = ST.External) src =
-  match P.analyze ?session ~registry:CS.registry_nominal ~mode src with
+let analyze_ok ?session ?(mode = ST.External)
+    ?(registry = CS.registry_nominal) src =
+  match P.analyze ?session ~registry ~mode src with
   | Ok a -> a
   | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
 
@@ -324,6 +325,156 @@ let test_warm_store_fresh_session () =
         ((Putil.Cache_store.stats store2).Putil.Cache_store.hits > 0);
       Alcotest.(check string) "store replay byte-identical" out_cold
         (render_outputs a_warm))
+
+let store_hits store = (Putil.Cache_store.stats store).Putil.Cache_store.hits
+
+(* A store-backed session that toggles between two behaviours replays
+   the normalize and analyses stages from its windows: coming back to
+   a program it has seen runs no per-process unit and reads no
+   normalize or analyses entry from the store. Only the typecheck
+   stage, which keeps one slot, reads its entry back (one store hit);
+   a store replay of a whole stage would also credit its units to
+   [proc_skipped], and a window hit credits none. *)
+let test_behavior_edits_replay_from_memory () =
+  with_temp_store (fun store _ ->
+      let session = P.new_session ~store () in
+      let run registry =
+        render_outputs (analyze_ok ~session ~registry CS.aadl_source)
+      in
+      let nominal = run CS.registry_nominal in
+      let variant = run CS.registry_producer_variant in
+      List.iter
+        (fun (label, registry, want) ->
+          let hits0 = store_hits store and before = proc_snapshot () in
+          let skipped0 = snapshot () in
+          let got = run registry in
+          Alcotest.(check int)
+            (label ^ ": only the typecheck slot reads the store")
+            1
+            (store_hits store - hits0);
+          List.iter
+            (fun (st, ran, skipped) ->
+              Alcotest.(check int) (label ^ ": " ^ st ^ " no unit ran") 0 ran;
+              if st <> "typecheck" then
+                Alcotest.(check int)
+                  (label ^ ": " ^ st ^ " no store replay credited")
+                  0 skipped)
+            (delta before (proc_snapshot ()));
+          List.iter
+            (fun (st, ran, skipped) ->
+              if st = "normalize" || st = "analyses" then begin
+                Alcotest.(check int) (label ^ ": " ^ st ^ " not rerun") 0 ran;
+                Alcotest.(check int) (label ^ ": " ^ st ^ " skipped") 1 skipped
+              end)
+            (delta skipped0 (snapshot ()));
+          Alcotest.(check string) (label ^ ": outputs as before") want got)
+        [ ("nominal again", CS.registry_nominal, nominal);
+          ("variant again", CS.registry_producer_variant, variant) ])
+
+(* Delete the store files of one tag, as an eviction would. *)
+let drop_tag dir tag =
+  Array.iter
+    (fun f ->
+      if String.starts_with ~prefix:(tag ^ "-") f then
+        Sys.remove (Filename.concat dir f))
+    (Sys.readdir dir)
+
+let reopen dir =
+  match Putil.Cache_store.open_store dir with
+  | Ok t -> t
+  | Error m -> Alcotest.fail ("reopen: " ^ m)
+
+(* A fresh session replays the normalize stage from the store but
+   misses the analyses: the analyses take the model kernels from the
+   store without counting them again, so every per-process stage
+   still conserves its units. With the model kernels gone too, they
+   are normalized again and the outputs stay the same. *)
+let test_normalize_replay_then_analyses_miss () =
+  with_temp_store (fun store dir ->
+      let b0 = proc_snapshot () in
+      let cold =
+        analyze_ok ~session:(P.new_session ~store ()) CS.aadl_source
+      in
+      let cold_units = delta b0 (proc_snapshot ()) in
+      let out_cold = render_outputs cold in
+      drop_tag dir "stage.analyses";
+      let before = proc_snapshot () and s0 = snapshot () in
+      let warm =
+        analyze_ok
+          ~session:(P.new_session ~store:(reopen dir) ())
+          CS.aadl_source
+      in
+      List.iter
+        (fun (st, ran, skipped) ->
+          if st = "normalize" then
+            Alcotest.(check int) "normalize replayed" 1 skipped;
+          if st = "analyses" then Alcotest.(check int) "analyses missed" 1 ran)
+        (delta s0 (snapshot ()));
+      List.iter2
+        (fun (st, cold_ran, _) (st', ran, skipped) ->
+          assert (st = st');
+          Alcotest.(check int) (st ^ " conserves units") cold_ran
+            (ran + skipped);
+          Alcotest.(check int) (st ^ " no unit recomputed") 0 ran)
+        cold_units
+        (delta before (proc_snapshot ()));
+      Alcotest.(check string) "store replay byte-identical" out_cold
+        (render_outputs warm);
+      Alcotest.(check string) "same diagnostics"
+        (Putil.Diag.list_to_string cold.P.diags)
+        (Putil.Diag.list_to_string warm.P.diags);
+      drop_tag dir "stage.analyses";
+      drop_tag dir "normalize.proc";
+      let again =
+        analyze_ok
+          ~session:(P.new_session ~store:(reopen dir) ())
+          CS.aadl_source
+      in
+      Alcotest.(check string) "kernels normalized again" out_cold
+        (render_outputs again))
+
+(* The store key of the normalize stage, as the pipeline derives it. *)
+let normalize_key (a : P.analyzed) =
+  let tr = a.P.translation in
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (tr.ST.program.Ast.prog_name, tr.ST.process_digests)
+          [ Marshal.No_sharing ]))
+  ^ ":" ^ tr.ST.top.Ast.proc_name
+
+(* The normalize value held the model kernels and the whole profile
+   under [stage.normalize]; an entry of that shape, left by an older
+   build under the same key, is a miss, never read as the lean value. *)
+type old_normalized = {
+  o_kernel : K.kprocess;
+  o_glue : K.kprocess;
+  o_links : Signal_lang.Normalize.link list;
+  o_models : (string * K.kprocess) list;
+  o_profile : Analysis.Profiling.report;
+  o_kdigest : string;
+}
+
+let test_old_normalize_tag_misses () =
+  with_temp_store (fun store _ ->
+      let cold = analyze_ok ~session:(P.new_session ~store ()) CS.aadl_source in
+      let key = normalize_key cold in
+      Alcotest.(check bool) "the key is the pipeline's" true
+        (Putil.Cache_store.mem store ~stage:"stage.normalize.lean" ~key);
+      with_temp_store (fun old _ ->
+          Putil.Cache_store.put old ~stage:"stage.normalize" ~key
+            { o_kernel = cold.P.kernel; o_glue = cold.P.glue_kernel;
+              o_links = cold.P.links; o_models = [];
+              o_profile = Analysis.Profiling.static_costs cold.P.kernel;
+              o_kdigest = cold.P.kernel_digest };
+          let ran0 = counter "incr.normalize.ran" in
+          let warm =
+            analyze_ok ~session:(P.new_session ~store:old ()) CS.aadl_source
+          in
+          Alcotest.(check int) "the old entry is a miss" 1
+            (counter "incr.normalize.ran" - ran0);
+          Alcotest.(check string) "outputs as cold" (render_outputs cold)
+            (render_outputs warm)))
 
 (* External mode + compiled simulation across a timing edit: the
    kernel digest is invariant, so the memoized compiled plan is
@@ -670,6 +821,12 @@ let suite =
           test_behavior_edit_reruns_one_process;
         Alcotest.test_case "warm store replays in fresh session" `Quick
           test_warm_store_fresh_session;
+        Alcotest.test_case "behaviour edits replay from memory" `Quick
+          test_behavior_edits_replay_from_memory;
+        Alcotest.test_case "normalize replay, analyses miss" `Quick
+          test_normalize_replay_then_analyses_miss;
+        Alcotest.test_case "old normalize tag misses" `Quick
+          test_old_normalize_tag_misses;
         Alcotest.test_case "compiled plan reused across timing edit" `Quick
           test_compiled_plan_reuse_after_timing_edit;
         Alcotest.test_case "external scheduler matches embedded" `Quick

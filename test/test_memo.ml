@@ -1,7 +1,8 @@
 (* Putil.Memo: the one keyed lookup behind the pipeline's session
    stages and the process-global translate / calculus / plan memos.
    Lookup order, the successes-only rule, counter derivation, the
-   whole-stage unit credit, the reset-when-full cap, and a key being
+   whole-stage unit credit, the reset-when-full cap, a content-keyed
+   window staying within its cap, the silent [peek], and a key being
    computed once when several domains ask for it together. *)
 
 module Memo = Putil.Memo
@@ -140,6 +141,56 @@ let test_cap_resets_when_full () =
   ignore (look "a");
   Alcotest.(check int) "clear drops everything" 3 (runs_of "a")
 
+(* A window: a stage memo whose entry name is its content key keeps at
+   most [cap] values. Probing with a failing computation records
+   nothing, so it shows what the table holds without changing it. *)
+let test_window_bounded () =
+  let stage = fresh_stage () and cap = 4 in
+  let m = Memo.create ~stage (Memo.Stage None) ~cap ~store:None in
+  let keys = List.init (cap + 1) (Printf.sprintf "program%d") in
+  let held () =
+    List.filter
+      (fun k -> Result.is_ok (Memo.find m ~name:k ~key:k (fun () -> Error ())))
+      keys
+  in
+  List.iteri
+    (fun i k ->
+      ignore (Memo.get m ~name:k ~key:k (fun () -> i));
+      if i = cap - 1 then
+        Alcotest.(check (list string)) "the first cap keys are all held"
+          (List.filteri (fun j _ -> j < cap) keys)
+          (held ()))
+    keys;
+  let after = held () in
+  Alcotest.(check bool) "at most cap entries" true (List.length after <= cap);
+  Alcotest.(check bool) "the newest key is held" true
+    (List.mem (List.nth keys cap) after)
+
+(* [peek] answers from the table, then the store, and never counts,
+   records or computes: a store value it read is still a store read
+   for the next [find]. *)
+let test_peek_is_silent () =
+  with_store @@ fun s ->
+  let stage = fresh_stage () in
+  let traffic () =
+    List.map
+      (fun o -> counter ("incr." ^ stage ^ "." ^ o))
+      [ "proc_ran"; "proc_skipped" ]
+  in
+  Cache_store.put s ~stage:"t" ~key:"stored" 42;
+  let m = Memo.create ~stage Memo.Unit ~cap:8 ~store:(Some (s, "t")) in
+  ignore (Memo.get m ~name:"p" ~key:"mem" (fun () -> 7));
+  let t0 = traffic () and hits0 = (Cache_store.stats s).Cache_store.hits in
+  Alcotest.(check (option int)) "table" (Some 7) (Memo.peek m ~name:"p" ~key:"mem");
+  Alcotest.(check (option int)) "store" (Some 42)
+    (Memo.peek m ~name:"p" ~key:"stored");
+  Alcotest.(check (option int)) "neither" None (Memo.peek m ~name:"p" ~key:"new");
+  Alcotest.(check (list int)) "nothing counted" t0 (traffic ());
+  Alcotest.(check int) "one store read" (hits0 + 1)
+    (Cache_store.stats s).Cache_store.hits;
+  Alcotest.(check (option int)) "the store value was not recorded" (Some 7)
+    (Memo.peek m ~name:"p" ~key:"mem")
+
 (* Four domains translate one instance at once: its timing-free
    structure (thread models, top process) is built exactly once and
    the other three replay it. A registry id no other test uses keeps
@@ -169,5 +220,9 @@ let suite =
           test_stage_store_hit_credits_units;
         Alcotest.test_case "cap resets when full" `Quick
           test_cap_resets_when_full;
+        Alcotest.test_case "window holds at most cap" `Quick
+          test_window_bounded;
+        Alcotest.test_case "peek counts and records nothing" `Quick
+          test_peek_is_silent;
         Alcotest.test_case "translate once across domains" `Quick
           test_translate_once_across_domains ] ) ]

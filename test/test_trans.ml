@@ -461,6 +461,63 @@ let test_traceability_no_repeats () =
     [ ("case study", CS.aadl_source);
       ("3 replicas", Test_data.read "../examples/prodcons_replicas3.aadl") ]
 
+(* External [ctl_inputs] take their ticks from [Static_sched.ticks],
+   which groups each schedule's jobs by task in one pass; on every
+   scheduled processor they equal the per-event construction over
+   [Static_sched.event_times], task by task in schedule order. *)
+let test_ctl_inputs_one_pass () =
+  let per_event s tname ev =
+    List.sort_uniq compare
+      (List.map (fun t -> t / s.S.base_us) (S.event_times s tname ev))
+  in
+  let check name registry src =
+    match
+      Polychrony.Pipeline.analyze ~registry ~mode:ST.External src
+    with
+    | Error _ -> ()  (* no translation to compare *)
+    | Ok a ->
+      let o = a.Polychrony.Pipeline.translation in
+      let expected =
+        List.concat_map
+          (fun (cpu, s) ->
+            List.concat_map
+              (fun tname ->
+                List.map
+                  (fun ev ->
+                    { ST.cs_cpu = cpu; cs_ticks = per_event s tname ev;
+                      cs_horizon = s.S.hyperperiod_us / s.S.base_us })
+                  [ S.Dispatch; S.Start; S.Complete; S.Deadline ])
+              (Trans.Sched_trans.task_names s))
+          o.ST.schedules
+      in
+      let scheduled =
+        List.filter
+          (fun (_, spec) -> List.mem_assoc spec.ST.cs_cpu o.ST.schedules)
+          o.ST.ctl_inputs
+      in
+      Alcotest.(check bool) (name ^ ": ctl inputs exist") true
+        (o.ST.ctl_inputs <> []);
+      Alcotest.(check bool) (name ^ ": equal the per-event construction") true
+        (List.map snd scheduled = expected);
+      List.iter
+        (fun (_, s) ->
+          Alcotest.(check (list int)) (name ^ ": no such task") []
+            (S.ticks s "no_such_task" S.Start))
+        o.ST.schedules
+  in
+  check "case study" CS.registry_nominal CS.aadl_source;
+  List.iter
+    (fun f ->
+      check f CS.registry_nominal (Test_data.read ("../examples/" ^ f)))
+    [ "producer_consumer.aadl"; "prodcons_replicas3.aadl";
+      "prodcons_4on4.aadl" ];
+  List.iter
+    (fun f ->
+      check f Trans.Behavior.empty (Test_data.read ("corpus/" ^ f)))
+    [ "bad_syntax.aadl"; "duplicate_port.aadl"; "infeasible_schedule.aadl";
+      "multi_defect.aadl"; "type_conflict.aadl";
+      "unresolved_classifier.aadl" ]
+
 let suite =
   [ ("trans.thread",
      [ Alcotest.test_case "interface (Fig. 4)" `Quick test_thread_interface;
@@ -483,7 +540,9 @@ let suite =
        Alcotest.test_case "scheduler process" `Quick
          test_scheduler_process_shape;
        Alcotest.test_case "policy choice" `Quick test_policy_affects_schedule;
-       Alcotest.test_case "missing period" `Quick test_missing_period_fails ]);
+       Alcotest.test_case "missing period" `Quick test_missing_period_fails;
+       Alcotest.test_case "ctl inputs in one pass" `Quick
+         test_ctl_inputs_one_pass ]);
     ("trans.structure",
      [ Alcotest.test_case "memo equals a build from nothing" `Quick
          test_structure_oracle;
