@@ -151,10 +151,11 @@ and t = {
   dtg : int array;
   prims : prim_st array;
   traces : Trace.t array;          (* one per scenario *)
+  recorder : Trace.recorder;       (* the executing scenario's row *)
   (* lockstep sharing, per scenario *)
   leader : int array;              (* lowest scenario in the same state *)
   served : int array;              (* whose instant it took, this instant *)
-  last_rows : (int * Types.value) array array;  (* last recorded row *)
+  last_rows : Trace.row array;     (* last recorded row *)
   mutable instants : int;
   mutable recording : bool;
 }
@@ -1047,10 +1048,11 @@ let instantiate ?(scenarios = 1) pl =
               q_head = Array.make k 0 })
           prog.Prog.prims;
       traces = Array.init k (fun _ -> Trace.of_header pl.p_header);
+      recorder = Trace.recorder pl.p_header;
       (* every stripe starts from the same initial state *)
       leader = Array.make k 0;
       served = Array.init k Fun.id;
-      last_rows = Array.make k [||];
+      last_rows = Array.make k Trace.empty_row;
       instants = 0;
       recording = true }
   in
@@ -1178,29 +1180,10 @@ let set_stim_named st x v =
   | Some i -> set_stim st i v
   | None -> errf "stimulus for unknown signal %s" x
 
-(* presence/value sanity pass; returns the present count *)
-let rec check_present st b i acc =
-  if i >= st.n then acc
-  else if st.pres.(st.base_cls + st.class_of.(i)) then begin
-    if not st.has.(b + i) then
-      errf "instant %d: signal %s present without a value" st.instants
-        st.prog.Prog.names.(i);
-    check_present st b (i + 1) (acc + 1)
-  end
-  else check_present st b (i + 1) acc
-
-let rec fill_row st b i k row =
-  if i < st.n then
-    if st.pres.(st.base_cls + st.class_of.(i)) then begin
-      row.(k) <- Trace.cell st.pl.p_header i (slot_value st (b + i));
-      fill_row st b (i + 1) (k + 1) row
-    end
-    else fill_row st b (i + 1) k row
-
 (* one instant for the selected scenario; stimulus must already be in
    the stim buffer. Allocation-free in steady state when recording is
-   off (and when on, allocates only the trace row and the cells of its
-   int, real and string values). *)
+   off (and when on, allocates only the trace row: its keys, its int
+   payloads, and the values of its reals and strings). *)
 let exec_instant st =
   let b = st.base_sig in
   (* [stim_clear] and the fill set the inputs' slots; the others may
@@ -1226,19 +1209,36 @@ let exec_instant st =
       errf "instant %d: input %s %s against its derived clock" st.instants
         st.prog.Prog.names.(i) (if p then "present" else "absent")
   done;
-  let cnt = check_present st b 0 0 in
-  if st.recording then begin
-    let row = Array.make cnt (0, Types.Vevent) in
-    fill_row st b 0 0 row;
+  (* one pass: every present signal has a value, and is recorded *)
+  let recording = st.recording and r = st.recorder in
+  let pres = st.pres and bc = st.base_cls and has = st.has in
+  let tg = st.tg and ri = st.ri in
+  Trace.clear r;
+  for i = 0 to st.n - 1 do
+    if pres.(bc + class_of.(i)) then begin
+      let j = b + i in
+      if not has.(j) then
+        errf "instant %d: signal %s present without a value" st.instants
+          st.prog.Prog.names.(i);
+      if recording then
+        match tg.(j) with
+        | 0 -> Trace.record_int r i ri.(j)
+        | 1 -> Trace.record_bool r i (ri.(j) <> 0)
+        | 2 -> Trace.record_event r i
+        | _ -> Trace.record r i (slot_value st j)
+    end
+  done;
+  if recording then begin
+    let row = Trace.take r in
     Trace.push_row st.traces.(st.scen) row;
     st.last_rows.(st.scen) <- row
   end;
   (* commit: delays then queues *)
-  let delay_src = st.prog.Prog.delay_src in
-  for i = 0 to st.n - 1 do
+  let delay_src = st.prog.Prog.delay_src and live = st.pl.p_live in
+  for k = 0 to Array.length live - 1 do
+    let i = live.(k) in
     let src = delay_src.(i) in
-    if src >= 0 && st.pres.(st.base_cls + class_of.(src)) then
-      copy_sig_to_delay st (b + src) (b + i)
+    if pres.(bc + class_of.(src)) then copy_sig_to_delay st (b + src) (b + i)
   done;
   let prims = st.prims in
   for k = 0 to Array.length prims - 1 do

@@ -26,10 +26,10 @@
     loop is allocation-flat: with trace recording off, {!run_batched}
     performs no per-instant heap allocation (values live in
     int/float/string payload arrays indexed by signal, tagged per
-    instant); with it on, an executed instant allocates its row and
-    the cells of its int, real and string values, since every trace
-    of an instance shares the plan's {!Trace.header} and its interned
-    bool and event cells.
+    instant); with it on, an executed instant allocates only its
+    unboxed {!Trace.row}, recorded in the pass that checks every
+    present signal has a value, and every trace of an instance shares
+    the plan's {!Trace.header}.
 
     Compilation {e fails} (with a diagnostic) on programs whose
     combined presence/value dependency graph is cyclic — exactly the

@@ -33,6 +33,7 @@ type t = {
   delay_state : Types.value array;  (* indexed by dst *)
   prims : prim_state array;
   tr : Trace.t;
+  recorder : Trace.recorder;
   mutable instants : int;
   mutable free : int;      (* defaulted-to-absent decisions *)
   (* per-instant scratch, allocated once *)
@@ -82,8 +83,9 @@ let create kp =
   in
   let rank = Array.make (max n 1) 0 in
   Array.iteri (fun k x -> rank.(x) <- k) default_order;
+  let h = Trace.header (Prog.decls prog) in
   { prog; default_order; rank; delay_state; prims;
-    tr = Trace.create (Prog.decls prog);
+    tr = Trace.of_header h; recorder = Trace.recorder h;
     instants = 0; free = 0;
     pres = Array.make (max n 1) Unknown;
     vals = Array.make (max n 1) None;
@@ -536,13 +538,15 @@ let step st ~stimulus =
         end
     in
     default_one ();
-    (* sanity: every present signal needs a value *)
-    let row = ref [] and present = ref [] in
-    for i = n - 1 downto 0 do
+    (* sanity: every present signal needs a value; recorded in the
+       same pass *)
+    let present = ref [] in
+    Trace.clear st.recorder;
+    for i = 0 to n - 1 do
       if st.pres.(i) = Present then
         match st.vals.(i) with
         | Some v ->
-          row := (i, v) :: !row;
+          Trace.record st.recorder i v;
           present := (Prog.name prog i, v) :: !present
         | None ->
           errf "instant %d: signal %s present without a value" st.instants
@@ -558,10 +562,10 @@ let step st ~stimulus =
         | None -> ()
     done;
     Array.iter (commit_prim st) st.prims;
-    Trace.push_row st.tr (Array.of_list !row);
+    Trace.push_row st.tr (Trace.take st.recorder);
     st.instants <- st.instants + 1;
     Metrics.incr m_instants;
-    Ok !present
+    Ok (List.rev !present)
   with
   | Sim_error m -> Error m
   | Prog.Lower_error m -> Error m

@@ -5,30 +5,63 @@ module Types = Signal_lang.Types
    hundreds of thousands of instants appear in the benches.
 
    Rows are recorded against dense signal indices (declaration order),
-   not names: the simulators push int-indexed rows straight from their
-   per-instant arrays and names are only materialized by the printing
-   and dumping layers. Each row is sorted by index, so point lookups
-   are a binary search over the present signals of that instant.
+   not names: the simulators record each present signal straight from
+   their per-instant arrays, in the same pass that checks it has a
+   value, and names are only materialized by the printing and dumping
+   layers.
+
+   A row is unboxed: one int key per present signal, ascending, that
+   packs the signal index, the constructor of its value and where the
+   value's payload lives. The constructor is the one recorded, not
+   the signal's declared type, so a [Vbool] under an [event] signal
+   reads back as [Vbool]. Events and booleans are their key alone; an
+   int's payload is a slot of [ints]; a real or a string is kept as
+   the recorded value in [boxed], which is the shared empty array on
+   rows without one. Point lookups are a binary search over the keys.
 
    Everything that depends on the declarations alone lives in a
    [header] that many traces share: the compiled stepper builds one
    per plan, so a K-scenario instance builds its names and name
-   lookup once, not K times. The header also interns the row cells
-   of the boolean and event signals (most of a row, and most of them
-   repeat from instant to instant), so recording allocates cells only
-   for int, real and string values (and for a value whose kind is not
-   the signal's declared type, which then gets a cell of its own). *)
+   lookup once, not K times. *)
 
-type cell = int * Types.value
-type row = cell array
+type row = {
+  keys : int array;  (* (index lsl 31) lor (aux lsl 3) lor code *)
+  ints : int array;
+  boxed : Types.value array;
+}
+
+let c_event = 0
+let c_false = 1
+let c_true = 2
+let c_int = 3 (* aux: slot of [ints] *)
+let c_boxed = 4 (* aux: slot of [boxed] *)
+
+(* an aux is a rank among a row's present signals, so with the index
+   it stays below the header's signal count: 28 bits *)
+let max_signals = 1 lsl 28
+
+let key i aux code = (i lsl 31) lor (aux lsl 3) lor code
+let key_index k = k lsr 31
+let key_aux k = (k lsr 3) land (max_signals - 1)
+let key_code k = k land 7
+
+let v_true = Types.Vbool true
+let v_false = Types.Vbool false
+
+let decode r k =
+  match key_code k (* the codes above *) with
+  | 0 -> Types.Vevent
+  | 1 -> v_false
+  | 2 -> v_true
+  | 3 -> Types.Vint r.ints.(key_aux k)
+  | _ -> r.boxed.(key_aux k)
+
+let empty_row = { keys = [||]; ints = [||]; boxed = [||] }
 
 type header = {
   names : string array;
   types : Types.styp array;
   lookup : (string, int) Hashtbl.t; (* name -> index *)
-  cells : cell array;
-      (* [2i] and [2i+1]: the false and true cells of bool signal [i],
-         [2i+1] the cell of event signal [i] *)
 }
 
 type t = {
@@ -37,31 +70,15 @@ type t = {
   mutable len : int;
 }
 
-let empty_row : row = [||]
-let empty_cell : cell = (0, Types.Vint 0)
-
 let header decl_list =
   let decls = Array.of_list decl_list in
+  if Array.length decls >= max_signals then
+    invalid_arg "Trace.header: too many signals";
   let names = Array.map (fun vd -> vd.Ast.var_name) decls in
   let lookup = Hashtbl.create (Array.length decls) in
   Array.iteri (fun i name -> Hashtbl.replace lookup name i) names;
   let types = Array.map (fun vd -> vd.Ast.var_type) decls in
-  let cells = Array.make (2 * Array.length decls) empty_cell in
-  Array.iteri
-    (fun i -> function
-      | Types.Tbool ->
-        cells.(2 * i) <- (i, Types.Vbool false);
-        cells.((2 * i) + 1) <- (i, Types.Vbool true)
-      | Types.Tevent -> cells.((2 * i) + 1) <- (i, Types.Vevent)
-      | Types.Tint | Types.Treal | Types.Tstring -> ())
-    types;
-  { names; types; lookup; cells }
-
-let cell h i v =
-  match v, h.types.(i) with
-  | Types.Vbool b, Types.Tbool -> h.cells.((2 * i) + Bool.to_int b)
-  | Types.Vevent, Types.Tevent -> h.cells.((2 * i) + 1)
-  | _ -> (i, v)
+  { names; types; lookup }
 
 let of_header h = { h; steps = Array.make 16 empty_row; len = 0 }
 
@@ -76,6 +93,57 @@ let declarations t =
 let index_of t x = Hashtbl.find_opt t.h.lookup x
 
 let name_of t i = t.h.names.(i)
+
+(* ---- recording ---- *)
+
+type recorder = {
+  r_keys : int array;
+  r_ints : int array;
+  r_boxed : Types.value array;
+  mutable nk : int;
+  mutable ni : int;
+  mutable nb : int;
+}
+
+let recorder h =
+  let n = Array.length h.names in
+  { r_keys = Array.make n 0; r_ints = Array.make n 0;
+    r_boxed = Array.make n Types.Vevent; nk = 0; ni = 0; nb = 0 }
+
+let clear r =
+  r.nk <- 0;
+  r.ni <- 0;
+  r.nb <- 0
+
+let add r i aux code =
+  r.r_keys.(r.nk) <- key i aux code;
+  r.nk <- r.nk + 1
+
+let record_event r i = add r i 0 c_event
+let record_bool r i b = add r i 0 (if b then c_true else c_false)
+
+let record_int r i n =
+  r.r_ints.(r.ni) <- n;
+  add r i r.ni c_int;
+  r.ni <- r.ni + 1
+
+let record r i = function
+  | Types.Vevent -> record_event r i
+  | Types.Vbool b -> record_bool r i b
+  | Types.Vint n -> record_int r i n
+  | (Types.Vreal _ | Types.Vstring _) as v ->
+    r.r_boxed.(r.nb) <- v;
+    add r i r.nb c_boxed;
+    r.nb <- r.nb + 1
+
+let take r =
+  let row =
+    { keys = Array.sub r.r_keys 0 r.nk;
+      ints = Array.sub r.r_ints 0 r.ni;
+      boxed = Array.sub r.r_boxed 0 r.nb }
+  in
+  clear r;
+  row
 
 let push_row t row =
   if t.len >= Array.length t.steps then begin
@@ -97,31 +165,22 @@ let push t present =
       | Some i -> tmp.(i) <- Some v
       | None -> ())
     present;
-  let count =
-    Array.fold_left (fun acc o -> if o = None then acc else acc + 1) 0 tmp
-  in
-  let row = Array.make count empty_cell in
-  let k = ref 0 in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Some v ->
-        row.(!k) <- cell t.h i v;
-        incr k
-      | None -> ())
-    tmp;
-  push_row t row
+  let r = recorder t.h in
+  Array.iteri (fun i o -> Option.iter (record r i) o) tmp;
+  push_row t (take r)
 
 let length t = t.len
 
-let row_find (row : row) i =
-  let lo = ref 0 and hi = ref (Array.length row - 1) in
-  let found = ref None in
+(* position of signal [i]'s key in the row, or -1 when absent *)
+let row_find row i =
+  let keys = row.keys in
+  let lo = ref 0 and hi = ref (Array.length keys - 1) in
+  let found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let j, v = row.(mid) in
+    let j = key_index keys.(mid) in
     if j = i then begin
-      found := Some v;
+      found := mid;
       lo := !hi + 1
     end
     else if j < i then lo := mid + 1
@@ -129,26 +188,20 @@ let row_find (row : row) i =
   done;
   !found
 
+let row_get row i =
+  let k = row_find row i in
+  if k < 0 then None else Some (decode row row.keys.(k))
+
 let step_row t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.get: instant out of range";
   t.steps.(i)
 
-let get_idx t i x = row_find (step_row t i) x
+let get_idx t i x = row_get (step_row t i) x
 
 let get t i x =
   match index_of t x with
   | Some xi -> get_idx t i xi
   | None -> None
-
-let present_count t x =
-  match index_of t x with
-  | None -> 0
-  | Some xi ->
-    let n = ref 0 in
-    for i = 0 to t.len - 1 do
-      if row_find t.steps.(i) xi <> None then incr n
-    done;
-    !n
 
 let values_of t x =
   match index_of t x with
@@ -156,7 +209,7 @@ let values_of t x =
   | Some xi ->
     let acc = ref [] in
     for i = t.len - 1 downto 0 do
-      match row_find t.steps.(i) xi with
+      match row_get t.steps.(i) xi with
       | Some v -> acc := v :: !acc
       | None -> ()
     done;
@@ -168,27 +221,35 @@ let tick_instants t x =
   | Some xi ->
     let acc = ref [] in
     for i = t.len - 1 downto 0 do
-      if row_find t.steps.(i) xi <> None then acc := i :: !acc
+      if row_find t.steps.(i) xi >= 0 then acc := i :: !acc
     done;
     !acc
+
+let present_count t x = List.length (tick_instants t x)
+
+(* an event or boolean key is its value; any other pair of cells of
+   the same signal compares as values, so an event equals [true] *)
+let cell_equal ra rb k =
+  let ka = ra.keys.(k) and kb = rb.keys.(k) in
+  (ka = kb && key_code ka <= c_true)
+  || key_index ka = key_index kb
+     && Types.equal_value (decode ra ka) (decode rb kb)
+
+let row_equal ra rb =
+  let n = Array.length ra.keys in
+  n = Array.length rb.keys
+  &&
+  let rec cells k = k >= n || (cell_equal ra rb k && cells (k + 1)) in
+  cells 0
 
 let equal a b =
   a.len = b.len
   && a.h.names = b.h.names
   &&
-  let rows_ok = ref true in
-  (try
-     for i = 0 to a.len - 1 do
-       let ra = a.steps.(i) and rb = b.steps.(i) in
-       if Array.length ra <> Array.length rb then raise Exit;
-       Array.iteri
-         (fun k (ja, va) ->
-           let jb, vb = rb.(k) in
-           if ja <> jb || not (Types.equal_value va vb) then raise Exit)
-         ra
-     done
-   with Exit -> rows_ok := false);
-  !rows_ok
+  let rec rows i =
+    i >= a.len || (row_equal a.steps.(i) b.steps.(i) && rows (i + 1))
+  in
+  rows 0
 
 let is_temp name =
   String.length name > 0

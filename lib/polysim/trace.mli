@@ -6,16 +6,15 @@ type t
 type header
 (** What a trace knows of its signals: their names, types and a name
     lookup over those names alone (built once, so its size follows the
-    header's own signals), and the interned row cells of the two values
-    of each [bool] signal and of each [event] signal. It is never
-    written after it is built and may be shared by any number of
-    traces, across domains too: the compiled
-    simulator builds one header per plan, and every trace of every
-    instance over that plan shares it. *)
+    header's own signals). It is never written after it is built and
+    may be shared by any number of traces, across domains too: the
+    compiled simulator builds one header per plan, and every trace of
+    every instance over that plan shares it. *)
 
 val header : 'p Signal_lang.Ast.gvardecl list -> header
 (** Header over the given signal declarations (any phase; marks are
-    stripped — traces record names, types and values only). *)
+    stripped — traces record names, types and values only).
+    @raise Invalid_argument from 2{^28} signals on. *)
 
 val of_header : header -> t
 (** Empty trace sharing the header. *)
@@ -23,13 +22,6 @@ val of_header : header -> t
 val create : 'p Signal_lang.Ast.gvardecl list -> t
 (** [of_header (header decls)]: an empty trace with a header of its
     own. *)
-
-val cell :
-  header -> int -> Signal_lang.Types.value -> int * Signal_lang.Types.value
-(** [cell h i v] is the row cell [(i, v)]: the cell interned in [h]
-    when [v] is a boolean and [i] a [bool] signal, or [v] the event
-    and [i] an [event] signal, so recording it allocates nothing;
-    otherwise a fresh pair. *)
 
 val declarations : t -> Signal_lang.Ast.bare Signal_lang.Ast.gvardecl list
 
@@ -39,14 +31,50 @@ val push :
     with their values; every other declared signal is absent.
     Undeclared names are ignored. *)
 
-val push_row : t -> (int * Signal_lang.Types.value) array -> unit
-(** Int-indexed fast path used by the simulators: the row lists the
-    present signals by declaration index, {e sorted ascending}, with
-    their values. The array is owned by the trace after the call and
-    is immutable from then on: one row may be pushed into several
-    traces (lockstep scenarios that share an instant share its row),
-    and rows share cells across instants and traces (the interned
-    cells of {!cell}), so no consumer may mutate a row it reads. *)
+(** {2 Rows}
+
+    The simulators record an instant as a {!row}: per present signal,
+    its declaration index and its value, unboxed (an event or a boolean
+    is one int, an int two, a real or a string one int and the recorded
+    value). Every reader decodes exactly the constructor that was
+    recorded, whatever the signal's declared type. *)
+
+type row
+(** One instant's present signals. Immutable: one row may be pushed
+    into several traces (lockstep scenarios that share an instant push
+    the row of the scenario that executed it). *)
+
+val empty_row : row
+(** The instant where no signal is present. *)
+
+type recorder
+(** Scratch space in which one row at a time is recorded; owned by one
+    simulator instance, never shared across domains. *)
+
+val recorder : header -> recorder
+(** An empty recorder sized to the header's signals. *)
+
+val clear : recorder -> unit
+(** Forget what was recorded since the last {!take}, e.g. by an
+    instant that failed halfway. *)
+
+val record_event : recorder -> int -> unit
+val record_bool : recorder -> int -> bool -> unit
+val record_int : recorder -> int -> int -> unit
+
+val record : recorder -> int -> Signal_lang.Types.value -> unit
+(** [record r i v] marks signal [i] present with value [v].
+    Within a row, signals must be recorded by {e strictly ascending}
+    declaration index, each below the header's signal count. The typed
+    variants above record [Vevent], [Vbool] and [Vint] without building
+    the value. *)
+
+val take : recorder -> row
+(** The row recorded since the last {!take} or {!clear}; the recorder
+    is empty again. *)
+
+val push_row : t -> row -> unit
+(** Append one instant. *)
 
 val index_of : t -> Signal_lang.Ast.ident -> int option
 (** Declaration index of a signal name. *)
@@ -76,7 +104,9 @@ val tick_instants : t -> Signal_lang.Ast.ident -> int list
 val equal : t -> t -> bool
 (** Structural equality: same signal names in the same order, same
     length, and the same present signals with equal values at every
-    instant (values compared with {!Signal_lang.Types.equal_value}). *)
+    instant (values compared with {!Signal_lang.Types.equal_value}:
+    a real NaN differs from itself, [0.0] equals [-0.0] and [Vevent]
+    equals [Vbool true]). *)
 
 val observable : t -> Signal_lang.Ast.ident list
 (** Declared signals that are not generated temporaries (no leading

@@ -219,8 +219,9 @@ let test_name_index_own_size () =
   Alcotest.(check int) "own signals" own (K.st_count tab);
   Alcotest.(check (option int)) "lookup" (Some 3)
     (K.st_index_opt tab "name_index_small_3");
-  (* both measure 17 words per own signal; a table sized by every name
-     the process has seen reads about a thousand here *)
+  (* the sigtab measures 17 words per own signal and the trace header
+     12; a table sized by every name the process has seen reads about
+     a thousand here *)
   List.iter
     (fun (what, words) ->
       Alcotest.(check bool)
