@@ -639,31 +639,3 @@ let size m a =
 let apply_stats m = (m.applies, m.apply_hits)
 let relprod_stats m = (m.rp_applies, m.rp_hits)
 let gc_stats m = (m.gc_collections, m.gc_swept)
-
-let pp m ~pp_var ppf a =
-  if a = 0 then Format.pp_print_string ppf "0"
-  else if a = 1 then Format.pp_print_string ppf "1"
-  else begin
-    (* enumerate paths to 1 as product terms *)
-    let first = ref true in
-    let rec go n lits =
-      if n = 1 then begin
-        if not !first then Format.fprintf ppf " + ";
-        first := false;
-        (match List.rev lits with
-         | [] -> Format.pp_print_string ppf "1"
-         | l ->
-           Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "·")
-             (fun ppf (v, pos) ->
-               if pos then pp_var ppf v
-               else Format.fprintf ppf "¬%a" pp_var v)
-             ppf l)
-      end
-      else if n <> 0 then begin
-        go m.low_of.(n) ((m.var_of.(n), false) :: lits);
-        go m.high_of.(n) ((m.var_of.(n), true) :: lits)
-      end
-    in
-    go a []
-  end

@@ -125,9 +125,3 @@ val size : manager -> t -> int
 val apply_stats : manager -> int * int
 (** [(consultations, hits)] of the binary apply cache since manager
     creation, for cache-hit-rate metrics. *)
-
-val pp :
-  manager -> pp_var:(Format.formatter -> int -> unit) ->
-  Format.formatter -> t -> unit
-(** Sum-of-products rendering; exponential in the worst case, meant for
-    small clock expressions in reports. *)

@@ -627,17 +627,6 @@ let consistent st = not (Bdd.is_zero st.phi)
 
 let class_of_exn st x = st.class_ids.(sig_index st x)
 
-(* the kernel's declarations promoted to the [clocked] phase: each mark
-   keeps the source span and records the synchronization class *)
-let clocked_decls st =
-  List.init (K.st_count st.tab) (fun i ->
-      let vd = K.st_decl st.tab i in
-      { Ast.var_name = vd.Ast.var_name;
-        var_type = vd.Ast.var_type;
-        var_mark =
-          Ast.Mclocked
-            (Ast.mark_span vd.Ast.var_mark, Some st.class_ids.(i)) })
-
 let clock_of st x =
   let c = class_of_exn st x in
   st.clocks.(c)
@@ -646,15 +635,6 @@ let same_class st a b = class_of_exn st a = class_of_exn st b
 
 let class_count st =
   Array.length st.reprs
-
-let class_members st =
-  let buckets = Array.make (Array.length st.reprs) [] in
-  let n = K.st_count st.tab in
-  for i = n - 1 downto 0 do
-    let c = st.class_ids.(i) in
-    buckets.(c) <- st.names.(i) :: buckets.(c)
-  done;
-  Array.to_list buckets
 
 let class_reprs st =
   Array.to_list (Array.mapi (fun c r -> (c, st.names.(r))) st.reprs)
@@ -707,17 +687,6 @@ let null_signals st =
 
 let conflicts st = List.rev st.confl
 
-let pp_var st ppf v =
-  match var_kind st v with
-  | Some (`Present c) -> Format.fprintf ppf "^%s" st.names.(st.reprs.(c))
-  | Some (`Cond b) -> Format.fprintf ppf "[%s]" b
-  | Some (`CondEq (x, k)) -> Format.fprintf ppf "[%s=%d]" x k
-  | None -> Format.fprintf ppf "v%d" v
-
-let pp_clock st ppf x =
-  with_query_lock st @@ fun () ->
-  Bdd.pp st.mgr ~pp_var:(pp_var st) ppf (clock_of st x)
-
 let pp_summary ppf st =
   Format.fprintf ppf "@[<v>clock calculus: %d signals, %d classes@,"
     (K.st_count st.tab) (class_count st);
@@ -742,21 +711,3 @@ let code_inconsistent =
   Putil.Diag.code "CLK-CONSTR-002" "unsatisfiable clock constraint system"
 let code_null =
   Putil.Diag.code "CLK-NULL-001" "signal with a provably empty clock"
-
-let diags st =
-  let c = Putil.Diag.collector () in
-  List.iter
-    (fun m -> Putil.Diag.add c (Putil.Diag.errorf ~code:code_conflict "%s" m))
-    (conflicts st);
-  if not (consistent st) then
-    Putil.Diag.add c
-      (Putil.Diag.errorf ~code:code_inconsistent
-         "clock constraint system is unsatisfiable: no behaviour has any \
-          signal present");
-  List.iter
-    (fun x ->
-      Putil.Diag.add c
-        (Putil.Diag.notef ~code:code_null
-           "signal %s has a provably empty clock (never present)" x))
-    (null_signals st);
-  Putil.Diag.result c

@@ -38,12 +38,11 @@ val analyze : ?digest:string -> Signal_lang.Kernel.kprocess -> t
     manager), so repeated pipeline runs pay for the clock calculus
     once. The memo is a process-global {!Putil.Memo} of 256 entries,
     cleared when full. It is safe to consult from several domains,
-    and so is the returned [t]: queries that touch the BDD
-    manager ({!is_null}, {!subclock}, {!exclusive}, {!null_signals},
-    {!pp_clock}) serialize on a per-state mutex, since even the
-    emptiness decisions, which never conjoin Φ, write the shared
-    manager's apply cache. Pure array reads (class ids, clocks,
-    representatives) stay lock-free. *)
+    and so is the returned [t]: queries that touch the BDD manager
+    ({!is_null}, {!subclock}, {!exclusive}, {!null_signals}) serialize
+    on a per-state mutex, since even the emptiness decisions, which
+    never conjoin Φ, write the shared manager's apply cache. Pure array
+    reads (class ids, clocks, representatives) stay lock-free. *)
 
 val reset_cache : unit -> unit
 (** Drop the analysis memo table (cold-start benchmarking; safe to
@@ -60,15 +59,9 @@ val with_query_lock : t -> (unit -> 'a) -> 'a
     accessors ({!manager}, {!context}, {!clock_of},
     {!clock_of_class_id}, {!class_reprs}, {!var_kind}, ...); calling a
     locked query ({!is_null}, {!subclock}, {!exclusive},
-    {!null_signals}, {!pp_clock}) deadlocks. *)
+    {!null_signals}) deadlocks. *)
 
 val manager : t -> Bdd.manager
-
-val clocked_decls :
-  t -> Signal_lang.Ast.clocked Signal_lang.Ast.gvardecl list
-(** The analyzed kernel's signal declarations promoted to the
-    [clocked] phase: each mark carries the declaration's source span
-    and the signal's synchronization class id, in sigtab order. *)
 
 val context : t -> Bdd.t
 (** The accumulated constraint formula Φ. *)
@@ -87,9 +80,6 @@ val same_class : t -> Signal_lang.Ast.ident -> Signal_lang.Ast.ident -> bool
 val class_count : t -> int
 (** Number of synchronization classes, the metric of the paper's
     "several thousand clocks" claim. *)
-
-val class_members : t -> Signal_lang.Ast.ident list list
-(** Signals grouped by synchronization class. *)
 
 val class_reprs : t -> (int * Signal_lang.Ast.ident) list
 (** Class ids with their canonical representative signal. *)
@@ -131,23 +121,14 @@ val conflicts : t -> string list
 (** Human-readable contradictions detected during the analysis
     (e.g. unsatisfiable constraint system). *)
 
-val pp_clock : t -> Format.formatter -> Signal_lang.Ast.ident -> unit
-(** Render a signal's clock as a sum of products over class
-    representatives and conditions. *)
-
 val pp_summary : Format.formatter -> t -> unit
 
 val code_conflict : string
 val code_inconsistent : string
 val code_null : string
-(** Diagnostic codes of {!diags}, exposed so callers that merge
-    per-process analysis results can regenerate identical
-    diagnostics. *)
-
-val diags : t -> Putil.Diag.t list
-(** The analysis verdict as structured diagnostics: one
-    [CLK-CONSTR-001] error per recorded contradiction, a
-    [CLK-CONSTR-002] error when Φ is unsatisfiable, and one
-    [CLK-NULL-001] note per null-clocked signal (translation creates
-    intentionally-absent signals, so emptiness alone is not an
-    error). *)
+(** Diagnostic codes of the calculus verdicts: [CLK-CONSTR-001] for a
+    recorded contradiction, [CLK-CONSTR-002] for an unsatisfiable Φ,
+    and [CLK-NULL-001] for a null-clocked signal (a note: translation
+    creates intentionally-absent signals, so emptiness alone is not an
+    error). Callers that merge per-process analysis results build the
+    diagnostics from them. *)

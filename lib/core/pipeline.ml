@@ -40,9 +40,6 @@ type analyzed = {
   links : Signal_lang.Normalize.link list;
   proc_analyses : (string * proc_analysis) list;
   glue : glue_analysis;
-  typed_program : Signal_lang.Ast.typed Signal_lang.Ast.gprogram;
-  clocked_decls :
-    Signal_lang.Ast.clocked Signal_lang.Ast.gvardecl list Lazy.t;
   calc : Clocks.Calculus.t Lazy.t;
   hierarchy : Clocks.Hierarchy.t Lazy.t;
   determinism : Analysis.Determinism.report;
@@ -86,10 +83,6 @@ type analyzed = {
 
 module Memo = Putil.Memo
 
-type typechecked =
-  Signal_lang.Typecheck.error list
-  * Signal_lang.Ast.typed Signal_lang.Ast.gprocess
-
 (* The model kernels are not in the value: the [kernels] unit memo
    (and its store) holds them, and only an analyses miss needs them. *)
 type normalized = {
@@ -115,11 +108,9 @@ type memos = {
       (* each package with its legality issues *)
   instance : Aadl.Instance.t Memo.t;
   translate : (Trans.System_trans.output * Putil.Diag.t list) Memo.t;
-  typecheck :
-    (Signal_lang.Typecheck.error list
-    * Signal_lang.Ast.typed Signal_lang.Ast.gprogram)
-      Memo.t;
-  tc_procs : typechecked Memo.t;
+  typecheck : Signal_lang.Typecheck.error list list Memo.t;
+      (* each process's type errors, in program order *)
+  tc_procs : Signal_lang.Typecheck.error list Memo.t;
   normalize : normalized Memo.t;
   kernels : K.kprocess option Memo.t;
       (* [None] records a model normalization failure: the linker falls
@@ -139,7 +130,10 @@ type memos = {
    shape digest ([pkg_shape]); neither may be read as the current
    value, shaped packages paired with their issues. Likewise
    [stage.normalize] entries carried the model kernels and the whole
-   profile; [stage.normalize.lean] ones carry neither. *)
+   profile; [stage.normalize.lean] ones carry neither. And
+   [stage.typecheck] and [typecheck.proc] entries paired the errors
+   with typed trees; [stage.typecheck.errors] and
+   [typecheck.proc.errors] ones hold the errors alone. *)
 
 (* The normalize and analyses windows hold two programs: an edit loop
    that toggles one behaviour (perfbench's edit-session) cycles
@@ -151,9 +145,6 @@ let memos store =
   let tagged tag = Option.map (fun s -> (s, tag)) store in
   (* name-keyed, so at most one entry per stage or process *)
   let memo stage level store = Memo.create ~stage level ~cap:max_int ~store in
-  let whole name units =
-    memo name (Memo.Stage units) (tagged ("stage." ^ name))
-  in
   (* content-keyed: at most [window] values of the stage *)
   let windowed name tag units =
     Memo.create ~stage:name (Memo.Stage (Some units)) ~cap:window
@@ -163,8 +154,9 @@ let memos store =
     instance = memo "instantiate" (Memo.Stage None) None;
     translate = memo "translate" (Memo.Stage None) None;
     typecheck =
-      whole "typecheck" (Some (fun (_, tp) -> List.length tp.Ast.processes));
-    tc_procs = memo "typecheck" Memo.Unit (tagged "typecheck.proc");
+      memo "typecheck" (Memo.Stage (Some List.length))
+        (tagged "stage.typecheck.errors");
+    tc_procs = memo "typecheck" Memo.Unit (tagged "typecheck.proc.errors");
     normalize =
       windowed "normalize" "stage.normalize.lean" (fun n -> n.n_units);
     kernels = memo "normalize" Memo.Unit (tagged "normalize.proc");
@@ -696,27 +688,21 @@ let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
       let digests = translation.Trans.System_trans.process_digests in
       let program_key = digest_of (program.Ast.prog_name, digests) in
       let top = translation.Trans.System_trans.top in
-      let typecheck_errors, typed_program =
-        Memo.get m.typecheck ~name:"typecheck" ~key:program_key
-          (fun () ->
-            (* keyed on (own body × interface environment): a body edit
-               in one process reruns only that process's check *)
-            let iface_key =
-              digest_of (List.map iface_of program.Ast.processes)
-            in
-            let per_proc =
-              List.map2
-                (fun p digest ->
-                  Memo.get m.tc_procs ~name:p.Ast.proc_name
-                    ~key:(Digest.to_hex digest ^ ":" ^ iface_key)
-                    (fun () ->
-                      ( Signal_lang.Typecheck.check_process ~program p,
-                        Signal_lang.Typecheck.type_process p )))
-                program.Ast.processes digests
-            in
-            ( List.concat_map fst per_proc,
-              { Ast.prog_name = program.Ast.prog_name;
-                Ast.processes = List.map snd per_proc } ))
+      let typecheck_errors =
+        List.concat
+          (Memo.get m.typecheck ~name:"typecheck" ~key:program_key
+             (fun () ->
+               (* keyed on (own body × interface environment): a body
+                  edit in one process reruns only that process's check *)
+               let iface_key =
+                 digest_of (List.map iface_of program.Ast.processes)
+               in
+               List.map2
+                 (fun p digest ->
+                   Memo.get m.tc_procs ~name:p.Ast.proc_name
+                     ~key:(Digest.to_hex digest ^ ":" ^ iface_key)
+                     (fun () -> Signal_lang.Typecheck.check_process ~program p))
+                 program.Ast.processes digests))
       in
       Putil.Diag.add_list diags
         (List.map
@@ -838,14 +824,10 @@ let analyze ?session ?(registry = Trans.Behavior.empty) ?policy ?mode ?root
           lazy (Clocks.Calculus.analyze ~digest:kernel_digest kernel)
         in
         let hierarchy = lazy (Clocks.Hierarchy.build (Lazy.force calc)) in
-        let clocked_decls =
-          lazy (Clocks.Calculus.clocked_decls (Lazy.force calc))
-        in
         Ok
           { package = pkg; aadl_issues; instance; translation; kernel;
             kernel_digest; glue_kernel = n.n_glue; links = n.n_links;
-            proc_analyses = an.a_procs; glue = an.a_glue; typed_program;
-            clocked_decls; calc; hierarchy;
+            proc_analyses = an.a_procs; glue = an.a_glue; calc; hierarchy;
             determinism = an.a_determinism; deadlock = an.a_deadlock;
             typecheck_errors; diags = Putil.Diag.result diags;
             scope = Option.map (fun s -> s.s_label) session }))

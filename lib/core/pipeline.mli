@@ -57,13 +57,6 @@ type analyzed = {
   proc_analyses : (string * proc_analysis) list;
       (** per-model analysis units, keyed by model process name *)
   glue : glue_analysis;
-  typed_program : Signal_lang.Ast.typed Signal_lang.Ast.gprogram;
-      (** the generated program in the [typed] phase: every expression
-          mark carries its inferred SIGNAL type *)
-  clocked_decls :
-    Signal_lang.Ast.clocked Signal_lang.Ast.gvardecl list Lazy.t;
-      (** the kernel's declarations in the [clocked] phase: each mark
-          records the signal's synchronization class *)
   calc : Clocks.Calculus.t Lazy.t;
       (** whole-kernel clock calculus. Lazy: the analysis verdicts come
           from the per-model units and the glue analysis, so the

@@ -84,11 +84,8 @@ let of_header h = { h; steps = Array.make 16 empty_row; len = 0 }
 
 let create decl_list = of_header (header decl_list)
 
-(* marks are not kept: traces record names, types and values only *)
-let declarations t =
-  List.init (Array.length t.h.names) (fun i ->
-      { Ast.var_name = t.h.names.(i); var_type = t.h.types.(i);
-        var_mark = Ast.Mbare })
+let signals t =
+  List.init (Array.length t.h.names) (fun i -> (t.h.names.(i), t.h.types.(i)))
 
 let index_of t x = Hashtbl.find_opt t.h.lookup x
 
@@ -262,10 +259,7 @@ let is_temp name =
       has_dunder 0)
 
 let observable t =
-  List.filter_map
-    (fun vd ->
-      if is_temp vd.Ast.var_name then None else Some vd.Ast.var_name)
-    (declarations t)
+  List.filter (fun x -> not (is_temp x)) (Array.to_list t.h.names)
 
 let cell_of_value = function
   | Types.Vevent -> "!"

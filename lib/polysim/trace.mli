@@ -23,7 +23,8 @@ val create : 'p Signal_lang.Ast.gvardecl list -> t
 (** [of_header (header decls)]: an empty trace with a header of its
     own. *)
 
-val declarations : t -> Signal_lang.Ast.bare Signal_lang.Ast.gvardecl list
+val signals : t -> (Signal_lang.Ast.ident * Signal_lang.Types.styp) list
+(** The header's signals with their types, in declaration order. *)
 
 val push :
   t -> (Signal_lang.Ast.ident * Signal_lang.Types.value) list -> unit

@@ -1,4 +1,3 @@
-module Ast = Signal_lang.Ast
 module Types = Signal_lang.Types
 
 (* VCD identifier codes: printable ASCII 33..126, possibly multi-char. *)
@@ -119,11 +118,7 @@ let to_string ?signals ?(module_name = "top") ?(timescale = "1 ms")
     | None -> (timescale, 1)
   in
   let names = match signals with Some l -> l | None -> Trace.observable tr in
-  let types =
-    List.map
-      (fun vd -> (vd.Ast.var_name, vd.Ast.var_type))
-      (Trace.declarations tr)
-  in
+  let types = Trace.signals tr in
   let ids = uniquify (List.map sanitize names) in
   let entries =
     List.mapi

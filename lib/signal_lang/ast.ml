@@ -6,35 +6,24 @@ type ident = string
 
 (* Phase witnesses: empty types indexing the mark GADT. A [parsed]
    tree carries only source positions; [typed] adds the inferred type
-   of every node; [normalized] marks the kernel-form declarations;
-   [clocked] adds the clock class computed by the calculus. *)
+   of every node; [normalized] marks the kernel-form declarations. *)
 type parsed = |
 type typed = |
 type normalized = |
-type clocked = |
-type bare = |
 
 type _ mark =
   | Mparsed : Putil.Diag.span option -> parsed mark
   | Mtyped : Putil.Diag.span option * Types.styp option -> typed mark
   | Mnorm : Putil.Diag.span option -> normalized mark
-  | Mclocked : Putil.Diag.span option * int option -> clocked mark
-  | Mbare : bare mark
 
 let mark_span : type p. p mark -> Putil.Diag.span option = function
   | Mparsed sp -> sp
   | Mtyped (sp, _) -> sp
   | Mnorm sp -> sp
-  | Mclocked (sp, _) -> sp
-  | Mbare -> None
 
 let mark_ty : type p. p mark -> Types.styp option = function
   | Mtyped (_, ty) -> ty
-  | Mparsed _ | Mnorm _ | Mclocked _ | Mbare -> None
-
-let mark_clock : type p. p mark -> int option = function
-  | Mclocked (_, c) -> c
-  | Mparsed _ | Mtyped _ | Mnorm _ | Mbare -> None
+  | Mparsed _ | Mnorm _ -> None
 
 let with_span : type p. p mark -> Putil.Diag.span option -> p mark =
  fun m sp ->
@@ -42,8 +31,6 @@ let with_span : type p. p mark -> Putil.Diag.span option -> p mark =
   | Mparsed _ -> Mparsed sp
   | Mtyped (_, ty) -> Mtyped (sp, ty)
   | Mnorm _ -> Mnorm sp
-  | Mclocked (_, c) -> Mclocked (sp, c)
-  | Mbare -> Mbare
 
 (* ------------------------------------------------------------------ *)
 (* The phase-indexed marked AST                                        *)
@@ -127,23 +114,15 @@ let mark (_, m) = m
 let span e = mark_span (mark e)
 
 let mk d : expr = (d, Mparsed None)
-let mk_at sp d : expr = (d, Mparsed sp)
 
 let var var_name var_type = { var_name; var_type; var_mark = Mparsed None }
 
 let var_at ~span var_name var_type =
   { var_name; var_type; var_mark = Mparsed (Some span) }
 
-let nvar ?span var_name var_type =
-  { var_name; var_type; var_mark = Mnorm span }
-
 let remark_norm vd =
   { var_name = vd.var_name; var_type = vd.var_type;
     var_mark = Mnorm (mark_span vd.var_mark) }
-
-let empty_process name =
-  { proc_name = name; params = []; inputs = []; outputs = []; locals = [];
-    body = []; subprocesses = []; pragmas = [] }
 
 let find_process prog name =
   List.find_opt (fun p -> String.equal p.proc_name name) prog.processes
@@ -198,167 +177,40 @@ let rec rename_expr : type p. (ident -> ident) -> p gexpr -> p gexpr =
   in
   (d, m)
 
-let rename_stmt f ((d, m) : 'p gstmt) : 'p gstmt =
-  let d =
-    match d with
-    | Sdef (x, e) -> Sdef (f x, rename_expr f e)
-    | Spartial (x, e) -> Spartial (f x, rename_expr f e)
-    | Sclk_eq (e1, e2) -> Sclk_eq (rename_expr f e1, rename_expr f e2)
-    | Sclk_le (e1, e2) -> Sclk_le (rename_expr f e1, rename_expr f e2)
-    | Sclk_ex (e1, e2) -> Sclk_ex (rename_expr f e1, rename_expr f e2)
-    | Sinstance i ->
-      Sinstance
-        { i with
-          inst_ins = List.map (rename_expr f) i.inst_ins;
-          inst_outs = List.map f i.inst_outs }
-  in
-  (d, m)
-
-(* ------------------------------------------------------------------ *)
-(* Mark-erasing and mark-demoting copies                               *)
-(* ------------------------------------------------------------------ *)
-
-(* [strip_*] forgets marks entirely: the result compares, hashes and
-   marshals structurally, which gives mark-insensitive equality and
-   the semantic digests below. *)
-let rec strip_expr : type p. p gexpr -> bare gexpr =
- fun (d, _) ->
-  let d =
-    match d with
-    | Econst v -> Econst v
-    | Evar x -> Evar x
-    | Eunop (op, e) -> Eunop (op, strip_expr e)
-    | Ebinop (op, e1, e2) -> Ebinop (op, strip_expr e1, strip_expr e2)
-    | Eif (c, t, e) -> Eif (strip_expr c, strip_expr t, strip_expr e)
-    | Edelay (e, v) -> Edelay (strip_expr e, v)
-    | Ewhen (e, b) -> Ewhen (strip_expr e, strip_expr b)
-    | Edefault (e1, e2) -> Edefault (strip_expr e1, strip_expr e2)
-    | Eclock e -> Eclock (strip_expr e)
-  in
-  (d, Mbare)
-
-let strip_stmt : type p. p gstmt -> bare gstmt =
- fun (d, _) ->
-  let d =
-    match d with
-    | Sdef (x, e) -> Sdef (x, strip_expr e)
-    | Spartial (x, e) -> Spartial (x, strip_expr e)
-    | Sclk_eq (e1, e2) -> Sclk_eq (strip_expr e1, strip_expr e2)
-    | Sclk_le (e1, e2) -> Sclk_le (strip_expr e1, strip_expr e2)
-    | Sclk_ex (e1, e2) -> Sclk_ex (strip_expr e1, strip_expr e2)
-    | Sinstance i ->
-      Sinstance
-        { inst_label = i.inst_label; inst_proc = i.inst_proc;
-          inst_ins = List.map strip_expr i.inst_ins;
-          inst_outs = i.inst_outs; inst_params = i.inst_params }
-  in
-  (d, Mbare)
-
-let strip_vardecl : type p. p gvardecl -> bare gvardecl =
- fun vd ->
-  { var_name = vd.var_name; var_type = vd.var_type; var_mark = Mbare }
-
-let rec strip_process : type p. p gprocess -> bare gprocess =
- fun p ->
-  { proc_name = p.proc_name;
-    params = List.map strip_vardecl p.params;
-    inputs = List.map strip_vardecl p.inputs;
-    outputs = List.map strip_vardecl p.outputs;
-    locals = List.map strip_vardecl p.locals;
-    body = List.map strip_stmt p.body;
-    subprocesses = List.map strip_process p.subprocesses;
-    pragmas = p.pragmas }
-
-let strip_program : type p. p gprogram -> bare gprogram =
- fun prog ->
-  { prog_name = prog.prog_name;
-    processes = List.map strip_process prog.processes }
-
-(* [to_parsed_*] demotes any phase to [parsed], keeping source spans:
-   phase-generic consumers (normalization, the library resolver) run
-   on one concrete phase without polymorphic-recursion contortions. *)
-let rec to_parsed_expr : type p. p gexpr -> expr =
- fun (d, m) ->
-  let d =
-    match d with
-    | Econst v -> Econst v
-    | Evar x -> Evar x
-    | Eunop (op, e) -> Eunop (op, to_parsed_expr e)
-    | Ebinop (op, e1, e2) -> Ebinop (op, to_parsed_expr e1, to_parsed_expr e2)
-    | Eif (c, t, e) ->
-      Eif (to_parsed_expr c, to_parsed_expr t, to_parsed_expr e)
-    | Edelay (e, v) -> Edelay (to_parsed_expr e, v)
-    | Ewhen (e, b) -> Ewhen (to_parsed_expr e, to_parsed_expr b)
-    | Edefault (e1, e2) -> Edefault (to_parsed_expr e1, to_parsed_expr e2)
-    | Eclock e -> Eclock (to_parsed_expr e)
-  in
-  (d, Mparsed (mark_span m))
-
-let to_parsed_stmt : type p. p gstmt -> stmt =
- fun (d, m) ->
-  let d =
-    match d with
-    | Sdef (x, e) -> Sdef (x, to_parsed_expr e)
-    | Spartial (x, e) -> Spartial (x, to_parsed_expr e)
-    | Sclk_eq (e1, e2) -> Sclk_eq (to_parsed_expr e1, to_parsed_expr e2)
-    | Sclk_le (e1, e2) -> Sclk_le (to_parsed_expr e1, to_parsed_expr e2)
-    | Sclk_ex (e1, e2) -> Sclk_ex (to_parsed_expr e1, to_parsed_expr e2)
-    | Sinstance i ->
-      Sinstance
-        { inst_label = i.inst_label; inst_proc = i.inst_proc;
-          inst_ins = List.map to_parsed_expr i.inst_ins;
-          inst_outs = i.inst_outs; inst_params = i.inst_params }
-  in
-  (d, Mparsed (mark_span m))
-
-let to_parsed_vardecl : type p. p gvardecl -> vardecl =
- fun vd ->
-  { var_name = vd.var_name; var_type = vd.var_type;
-    var_mark = Mparsed (mark_span vd.var_mark) }
-
-let rec to_parsed_process : type p. p gprocess -> process =
- fun p ->
-  { proc_name = p.proc_name;
-    params = List.map to_parsed_vardecl p.params;
-    inputs = List.map to_parsed_vardecl p.inputs;
-    outputs = List.map to_parsed_vardecl p.outputs;
-    locals = List.map to_parsed_vardecl p.locals;
-    body = List.map to_parsed_stmt p.body;
-    subprocesses = List.map to_parsed_process p.subprocesses;
-    pragmas = p.pragmas }
-
-let to_parsed_program : type p. p gprogram -> program =
- fun prog ->
-  { prog_name = prog.prog_name;
-    processes = List.map to_parsed_process prog.processes }
-
-(* Mark-insensitive structural equality/order: compare the stripped
-   skeletons. *)
-let equal_expr a b = strip_expr a = strip_expr b
-let compare_expr a b = compare (strip_expr a) (strip_expr b)
-let equal_process a b = strip_process a = strip_process b
-let equal_program a b = strip_program a = strip_program b
+(* Mark-insensitive structural equality; constants compare with [=]. *)
+let rec equal_expr : type p q. p gexpr -> q gexpr -> bool =
+ fun (a, _) (b, _) ->
+  match a, b with
+  | Econst v, Econst w -> v = w
+  | Evar x, Evar y -> String.equal x y
+  | Eunop (o, e), Eunop (o', e') -> o = o' && equal_expr e e'
+  | Ebinop (o, e1, e2), Ebinop (o', e1', e2') ->
+    o = o' && equal_expr e1 e1' && equal_expr e2 e2'
+  | Eif (c, t, f), Eif (c', t', f') ->
+    equal_expr c c' && equal_expr t t' && equal_expr f f'
+  | Edelay (e, v), Edelay (e', w) -> equal_expr e e' && v = w
+  | Ewhen (e1, e2), Ewhen (e1', e2') | Edefault (e1, e2), Edefault (e1', e2')
+    ->
+    equal_expr e1 e1' && equal_expr e2 e2'
+  | Eclock e, Eclock e' -> equal_expr e e'
+  | ( ( Econst _ | Evar _ | Eunop _ | Ebinop _ | Eif _ | Edelay _ | Ewhen _
+      | Edefault _ | Eclock _ ),
+      _ ) ->
+    false
 
 (* ------------------------------------------------------------------ *)
 (* Digests                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Stage digests for incremental recompute. The full digest includes
-   marks (positions and phase annotations): it is conservative — a
-   pure position shift re-runs downstream stages — but guarantees that
-   replayed diagnostics carry current spans. The semantic digest
-   strips marks first and identifies programs up to positions. *)
+(* Stage digests for incremental recompute. The digest includes marks
+   (positions and phase annotations): it is conservative — a pure
+   position shift re-runs downstream stages — but guarantees that
+   replayed diagnostics carry current spans. *)
 let program_digest (prog : 'p gprogram) =
   Digest.string (Marshal.to_string prog [ Marshal.No_sharing ])
 
-let program_semantic_digest (prog : 'p gprogram) =
-  Digest.string (Marshal.to_string (strip_program prog) [ Marshal.No_sharing ])
-
 let process_digest (p : 'p gprocess) =
   Digest.string (Marshal.to_string p [ Marshal.No_sharing ])
-
-let process_semantic_digest (p : 'p gprocess) =
-  Digest.string (Marshal.to_string (strip_process p) [ Marshal.No_sharing ])
 
 let rec expr_size : type p. p gexpr -> int =
  fun (d, _) ->
@@ -368,8 +220,3 @@ let rec expr_size : type p. p gexpr -> int =
   | Ebinop (_, e1, e2) | Ewhen (e1, e2) | Edefault (e1, e2) ->
     1 + expr_size e1 + expr_size e2
   | Eif (c, t, f) -> 1 + expr_size c + expr_size t + expr_size f
-
-let rec process_size : type p. p gprocess -> int =
- fun p ->
-  List.length p.body
-  + List.fold_left (fun acc sub -> acc + process_size sub) 0 p.subprocesses

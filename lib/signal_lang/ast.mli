@@ -8,11 +8,11 @@
     The AST is {e phase-indexed and marked}, in the style of the
     Catala compiler's [gexpr]: every node is a pair of a description
     and a mark, and the phase type parameter selects what the mark
-    carries. Stages of the toolchain are mark-transforming total
-    functions — [parsed] trees carry source spans, [Typecheck.type_program]
-    re-marks them as [typed] trees carrying inferred types, the
-    normalizer emits kernel declarations with [normalized] marks, and
-    the clock calculus can re-mark declarations as [clocked]. *)
+    carries. [parsed] trees carry source spans; they are what the
+    parser and the AADL translator produce, and what typechecking and
+    normalization read. {!Typecheck.type_process} re-marks a process
+    as [typed], carrying inferred types; the normalizer emits kernel
+    declarations with [normalized] marks. *)
 
 type ident = string
 
@@ -21,12 +21,6 @@ type ident = string
 type parsed = |
 type typed = |
 type normalized = |
-type clocked = |
-
-type bare = |
-(** The phase of mark-stripped skeletons ({!strip_program}):
-    structural equality and marshalling on [bare] trees are
-    mark-insensitive. *)
 
 type _ mark =
   | Mparsed : Putil.Diag.span option -> parsed mark
@@ -35,13 +29,9 @@ type _ mark =
       (** span, plus the inferred type ([None] on ill-typed nodes) *)
   | Mnorm : Putil.Diag.span option -> normalized mark
       (** span of the source construct a kernel declaration flattens *)
-  | Mclocked : Putil.Diag.span option * int option -> clocked mark
-      (** span, plus the clock-calculus class of the signal *)
-  | Mbare : bare mark
 
 val mark_span : 'p mark -> Putil.Diag.span option
 val mark_ty : 'p mark -> Types.styp option
-val mark_clock : 'p mark -> int option
 
 val with_span : 'p mark -> Putil.Diag.span option -> 'p mark
 (** Replace the span, keeping the phase and its other payload. *)
@@ -142,21 +132,13 @@ val span : 'a * 'p mark -> Putil.Diag.span option
 val mk : parsed gexpr_desc -> expr
 (** Wrap a description with an empty parsed mark. *)
 
-val mk_at : Putil.Diag.span option -> parsed gexpr_desc -> expr
-
 val var : ident -> Types.styp -> vardecl
 (** A declaration with no source position. *)
 
 val var_at : span:Putil.Diag.span -> ident -> Types.styp -> vardecl
 
-val nvar : ?span:Putil.Diag.span -> ident -> Types.styp -> nvardecl
-(** A kernel-form declaration (used by hand-built kernels in tests). *)
-
 val remark_norm : 'p gvardecl -> nvardecl
 (** Re-mark a declaration into the normalized phase, keeping its span. *)
-
-val empty_process : ident -> process
-(** A process with the given name and no content. *)
 
 val find_process : 'p gprogram -> ident -> 'p gprocess option
 (** Global lookup by name. *)
@@ -175,28 +157,9 @@ val stmt_reads : 'p gstmt -> ident list
 (** Signal names read by a statement (sorted, without duplicates). *)
 
 val rename_expr : (ident -> ident) -> 'p gexpr -> 'p gexpr
-val rename_stmt : (ident -> ident) -> 'p gstmt -> 'p gstmt
-
-(** {1 Mark-erasing and mark-demoting copies} *)
-
-val strip_expr : 'p gexpr -> bare gexpr
-val strip_stmt : 'p gstmt -> bare gstmt
-val strip_process : 'p gprocess -> bare gprocess
-val strip_program : 'p gprogram -> bare gprogram
-
-val to_parsed_expr : 'p gexpr -> expr
-val to_parsed_stmt : 'p gstmt -> stmt
-val to_parsed_vardecl : 'p gvardecl -> vardecl
-val to_parsed_process : 'p gprocess -> process
-val to_parsed_program : 'p gprogram -> program
-(** Demote to the parsed phase, keeping source spans. *)
 
 val equal_expr : 'p gexpr -> 'q gexpr -> bool
 (** Mark-insensitive structural equality. *)
-
-val compare_expr : 'p gexpr -> 'q gexpr -> int
-val equal_process : 'p gprocess -> 'q gprocess -> bool
-val equal_program : 'p gprogram -> 'q gprogram -> bool
 
 (** {1 Digests} *)
 
@@ -206,22 +169,9 @@ val program_digest : 'p gprogram -> string
     position-only change alters the digest, which keeps replayed
     diagnostics accurate. *)
 
-val program_semantic_digest : 'p gprogram -> string
-(** Digest of the mark-stripped skeleton: identifies programs up to
-    positions and phase annotations. *)
-
 val process_digest : 'p gprocess -> string
 (** Per-process structural digest (16 raw bytes), marks included: keys
     the process-granular memoization of incremental recompute. *)
 
-val process_semantic_digest : 'p gprocess -> string
-(** Per-process digest of the mark-stripped skeleton: identifies a
-    process up to positions and phase annotations, so a position-only
-    shift in one process leaves every process's semantic digest
-    unchanged. *)
-
 val expr_size : 'p gexpr -> int
 (** Number of AST nodes, used by profiling and benches. *)
-
-val process_size : 'p gprocess -> int
-(** Total number of statements, including subprocesses. *)

@@ -450,10 +450,6 @@ and inline st ~program ~stack ~lm ~sp outer_scope inst model =
   norm_body st ~program ~stack ~lm model inner_scope
 
 let process_gen ?program ?(params = []) ~lm p =
-  (* Accept any phase: demote to parsed (spans survive) so the library
-     models — which are parsed — mix freely with the input. *)
-  let program = Option.map to_parsed_program program in
-  let p = to_parsed_process p in
   let st =
     { counter = 0; used = Hashtbl.create 64; locals = []; eqs = [];
       constraints = []; instances = []; partials = [] }

@@ -18,23 +18,21 @@ exception Normalize_error of Putil.Diag.t
     instances render as the diagnostic. *)
 
 val process :
-  ?program:'q Ast.gprogram ->
+  ?program:Ast.program ->
   ?params:Types.value list ->
-  'p Ast.gprocess ->
+  Ast.process ->
   (Kernel.kprocess, Putil.Diag.t) result
 (** Normalize one process. [params] instantiates its static parameters
     (required when the process declares any). [program] provides the
     global scope for instance resolution; the AADL2SIGNAL library is
-    always in scope. Any phase is accepted (trees are demoted to
-    [parsed] internally, keeping spans); generated kernel declarations
-    carry [normalized] marks whose spans point back at the source
-    construct each temporary flattens. Errors are [SIG-NORM-001]
-    diagnostics whose span is the marked source construct (statement,
-    expression or instance) normalization gave up on, when one is
-    known. *)
+    always in scope. Generated kernel declarations carry [normalized]
+    marks whose spans point back at the source construct each
+    temporary flattens. Errors are [SIG-NORM-001] diagnostics whose
+    span is the marked source construct (statement, expression or
+    instance) normalization gave up on, when one is known. *)
 
 val process_exn :
-  ?program:'q Ast.gprogram -> ?params:Types.value list -> 'p Ast.gprocess ->
+  ?program:Ast.program -> ?params:Types.value list -> Ast.process ->
   Kernel.kprocess
 (** @raise Normalize_error on normalization errors. *)
 
@@ -70,9 +68,9 @@ type linked = {
 }
 
 val process_linked :
-  ?program:'q Ast.gprogram ->
+  ?program:Ast.program ->
   precomputed:(string * Kernel.kprocess) list ->
-  'p Ast.gprocess ->
+  Ast.process ->
   (linked, Putil.Diag.t) result
 (** Normalize the host process, splicing [precomputed] kernels at
     instance sites (models with static parameters, or shadowed by a

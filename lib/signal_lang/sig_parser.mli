@@ -3,8 +3,8 @@
     Accepts modules and single processes; {!Pp} followed by this parser
     is the identity on abstract syntax up to marks and value
     normalization (the event value prints as [true] and reparses as a
-    boolean) — compare with {!Ast.equal_program} — a property exercised
-    by the test suite on every generated program. Parsed trees carry
+    boolean): printing a reparsed tree gives the same text, a property
+    exercised by the test suite on every generated program. Parsed trees carry
     source spans on every expression, statement and declaration. *)
 
 exception Parse_error of string

@@ -288,14 +288,12 @@ let rec check_process ?program p =
 let check_program prog =
   List.concat_map (fun p -> check_process ~program:prog p) prog.processes
 
-let is_well_typed prog = check_program prog = []
-
 (* ------------------------- type annotation ------------------------ *)
 
 (* Mark-transforming elaboration: re-mark a parsed tree as [typed],
    attaching the inferred type to every expression node. Best-effort
    and total — ill-typed nodes get [None]; the error list comes from
-   [check_program], which callers run first. *)
+   [check_process]. *)
 
 let rec annotate env (e : expr) : typed gexpr =
   let sp = span e in
@@ -388,7 +386,3 @@ let rec type_process (p : process) : typed gprocess =
     body = List.map (annotate_stmt lookup) p.body;
     subprocesses = List.map type_process p.subprocesses;
     pragmas = p.pragmas }
-
-let type_program (prog : program) : typed gprogram =
-  { prog_name = prog.prog_name;
-    processes = List.map type_process prog.processes }

@@ -35,14 +35,8 @@ val check_process :
 
 val check_program : Ast.program -> error list
 
-val is_well_typed : Ast.program -> bool
-
 val type_process : Ast.process -> Ast.typed Ast.gprocess
-(** One process of {!type_program} — elaboration is per-process, so
-    incremental callers re-elaborate only edited processes. *)
-
-val type_program : Ast.program -> Ast.typed Ast.gprogram
-(** Mark-transforming elaboration: re-mark the parsed tree as [typed],
-    attaching the inferred type to every expression node. Total and
-    best-effort — nodes that do not type get [None]; run
-    {!check_program} for the error list. *)
+(** Mark-transforming elaboration: re-mark a parsed process as
+    [typed], attaching the inferred type to every expression node.
+    Total and best-effort — nodes that do not type get [None]; run
+    {!check_process} for the error list. *)

@@ -15,9 +15,7 @@ let vb b = Types.Vbool b
 let ve = Types.Vevent
 
 let traces_equal t1 t2 =
-  let names =
-    List.map (fun vd -> vd.Ast.var_name) (Trace.declarations t1)
-  in
+  let names = List.map fst (Trace.signals t1) in
   Trace.length t1 = Trace.length t2
   && List.for_all
        (fun x ->
@@ -291,7 +289,7 @@ let test_trace_header_own_names () =
       let t = Trace.of_header (Trace.header (K.signals kp)) in
       Alcotest.(check (list string)) "declarations"
         (List.map (fun vd -> vd.Ast.var_name) (K.signals kp))
-        (List.map (fun vd -> vd.Ast.var_name) (Trace.declarations t));
+        (List.map fst (Trace.signals t));
       List.iteri
         (fun i vd ->
           Alcotest.(check string) "name_of" vd.Ast.var_name

@@ -10,7 +10,7 @@ module N = Signal_lang.Normalize
 module C = Clocks.Calculus
 module Trace = Polysim.Trace
 
-let signals_of tr = List.map (fun vd -> vd.Ast.var_name) (Trace.declarations tr)
+let signals_of tr = List.map fst (Trace.signals tr)
 
 (* check every proved static relation against the trace *)
 let validate_against_trace calc tr =

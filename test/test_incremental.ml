@@ -585,6 +585,44 @@ let test_legality_replayed_with_parse () =
       Alcotest.(check bool) "same legality issues" true (issues0 = issues1);
       Alcotest.(check string) "same diagnostics" diags0 diags1)
 
+(* SIGNAL type errors ride in the typecheck entries: a fresh session
+   on a warm store reports them, with the same diagnostics, without
+   checking any process again. No entry is filed under the tags whose
+   values also held typed trees. *)
+let test_type_errors_replayed_from_store () =
+  let src = Test_data.read "corpus/type_conflict.aadl" in
+  let run store =
+    match
+      P.analyze ~session:(P.new_session ~store ())
+        ~registry:Trans.Behavior.empty ~file:"type_conflict.aadl" src
+    with
+    | Ok a -> a
+    | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
+  in
+  with_temp_store (fun store dir ->
+      let cold = run store in
+      Alcotest.(check bool) "the model has type errors" true
+        (cold.P.typecheck_errors <> []);
+      let skipped0 = counter "incr.typecheck.skipped"
+      and proc_ran0 = counter "incr.typecheck.proc_ran" in
+      let warm = run (reopen dir) in
+      Alcotest.(check int) "typecheck replayed from the store" 1
+        (counter "incr.typecheck.skipped" - skipped0);
+      Alcotest.(check int) "no process checked again" 0
+        (counter "incr.typecheck.proc_ran" - proc_ran0);
+      Alcotest.(check bool) "same type errors" true
+        (cold.P.typecheck_errors = warm.P.typecheck_errors);
+      Alcotest.(check string) "same diagnostics" (diags_text cold.P.diags)
+        (diags_text warm.P.diags);
+      Array.iter
+        (fun f ->
+          List.iter
+            (fun tag ->
+              if String.starts_with ~prefix:(tag ^ "-") f then
+                Alcotest.failf "%s is filed under the retired tag %s" f tag)
+            [ "stage.typecheck"; "typecheck.proc" ])
+        (Sys.readdir dir))
+
 (* Minor words one warm timing edit may allocate: a store-backed
    External session on the case study, back to a source the store has
    seen. The edit reads the parse entry, instantiates, runs the
@@ -744,17 +782,14 @@ let prop_normalize_keeps_spans =
             (K.signals kp)))
 
 let prop_digest_stability =
-  QCheck2.Test.make ~name:"stage digests: deterministic, semantic strips marks"
+  QCheck2.Test.make ~name:"stage digests: deterministic, position-sensitive"
     ~count:200 gen_expr (fun e ->
       let build () = B.program "P" [ mk_process e ] in
       let p = build () in
       (* deterministic on structurally rebuilt values *)
       Ast.program_digest p = Ast.program_digest (build ())
-      (* the semantic digest sees through marks *)
-      && Ast.program_semantic_digest p
-         = Ast.program_semantic_digest (Ast.strip_program p)
-      (* ... but the structural digest does not: a position-only change
-         must invalidate (replayed diagnostics carry positions) *)
+      (* a position-only change must invalidate (replayed diagnostics
+         carry positions) *)
       &&
       let sp = Putil.Diag.span ~line:7 ~col:3 () in
       let respan (pc : Ast.process) =
@@ -765,8 +800,7 @@ let prop_digest_stability =
               pc.Ast.body }
       in
       let p' = { p with Ast.processes = List.map respan p.Ast.processes } in
-      Ast.program_digest p <> Ast.program_digest p'
-      && Ast.program_semantic_digest p = Ast.program_semantic_digest p')
+      Ast.program_digest p <> Ast.program_digest p')
 
 (* The per-process cache keys are compositional: a process's digest
    depends on that process alone, so editing one process of a program
@@ -837,6 +871,8 @@ let suite =
           test_translation_digests;
         Alcotest.test_case "legality replayed with the parse" `Quick
           test_legality_replayed_with_parse;
+        Alcotest.test_case "type errors replayed from the store" `Quick
+          test_type_errors_replayed_from_store;
         Alcotest.test_case "warm timing edit allocation bound" `Quick
           test_warm_edit_allocation;
         Alcotest.test_case "warm timing edit replays the structure" `Quick

@@ -55,6 +55,13 @@ let test_expr_structure () =
   Alcotest.(check bool) "delay init" true
     (Ast.equal_expr
        (parse_expr_ok "x $ 1 init -2")
+       B.(delay ~init:(Types.Vint (-2)) (v "x")));
+  (* ... and tell different trees apart *)
+  Alcotest.(check bool) "parentheses group" false
+    (Ast.equal_expr (parse_expr_ok "(a + b) * 2") B.(v "a" + (v "b" * i 2)));
+  Alcotest.(check bool) "delay init differs" false
+    (Ast.equal_expr
+       (parse_expr_ok "x $ 1 init 2")
        B.(delay ~init:(Types.Vint (-2)) (v "x")))
 
 let test_parse_errors () =

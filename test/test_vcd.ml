@@ -120,11 +120,7 @@ let test_roundtrip_simulated () =
   match R.parse dump with
   | Error m -> Alcotest.fail m
   | Ok vcd ->
-    let types =
-      List.map
-        (fun vd -> (vd.Ast.var_name, vd.Ast.var_type))
-        (Trace.declarations tr)
-    in
+    let types = Trace.signals tr in
     List.iter
       (fun name ->
         let typ = List.assoc name types in
